@@ -43,7 +43,7 @@ from .gripper import (
     select_cup,
 )
 from .minjerk import AxisBoundary, AxisTrajectory, InvalidHorizonError, OutOfDomainError, solve_axis
-from .scenarios import ScenarioError, load_scenario, moving_scenario, static_scenario
+from .scenarios import ScenarioError, load_scenario
 from .sim import BatchResult, EpisodeResult, EpisodeTrace, Scenario, SurfaceMotion, run_batch, run_episode
 from .surface import (
     DegenerateFitError,
@@ -75,7 +75,7 @@ __all__ = [
     "AdhesionModel", "GripperGeometry", "PerchEnvelope", "activation_force",
     "adhesion_force", "contact_torque", "judge_perch", "select_cup",
     "AxisBoundary", "AxisTrajectory", "InvalidHorizonError", "OutOfDomainError", "solve_axis",
-    "ScenarioError", "load_scenario", "moving_scenario", "static_scenario",
+    "ScenarioError", "load_scenario",
     "BatchResult", "EpisodeResult", "EpisodeTrace", "Scenario", "SurfaceMotion",
     "run_batch", "run_episode",
     "DegenerateFitError", "InsufficientHistoryError", "SurfacePrediction",

@@ -159,7 +159,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--scenario", required=True)
     run.add_argument("--seed", type=int, default=None)
     run.add_argument("--out", default=".")
-    run.add_argument("--format", choices=["csv"], default="csv")
     run.set_defaults(fn=cmd_run)
 
     batch = sub.add_parser("batch", help="run a seeded batch, write the summary table")
@@ -167,7 +166,6 @@ def build_parser() -> argparse.ArgumentParser:
     batch.add_argument("--n", type=int, default=10)
     batch.add_argument("--seed", type=int, default=None)
     batch.add_argument("--out", default=".")
-    batch.add_argument("--format", choices=["csv"], default="csv")
     batch.set_defaults(fn=cmd_batch)
 
     bench = sub.add_parser("bench", help="planner solve-time percentiles over replayed episodes")

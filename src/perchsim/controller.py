@@ -8,14 +8,15 @@ rendezvous instant: the final attitude command must come from the reference
 alone, uncorrupted by position error against a surface the vehicle is about
 to touch.
 
-Commanded accelerations map to a thrust magnitude and a zero-yaw attitude.
-The planar plant realizes them through a roll PD loop on differential lift.
+Everything works in the (y, z) plane of the plant.  Commanded accelerations
+map to a thrust magnitude and a roll angle, which the plant realizes through
+a roll PD loop on differential lift.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
@@ -26,27 +27,25 @@ from .flatness import FreeFallSingularityError
 
 @dataclass(frozen=True)
 class ControllerGains:
-    """Per-axis outer-loop gains and the handover window.
+    """Per-axis (y, z) outer-loop gains and the handover window.
 
     delta_t is the terminal pure-feedforward window length; i_limit clamps
     each axis integral (anti-windup).
     """
 
-    k_p: Tuple[float, float, float] = (6.0, 6.0, 6.0)
-    k_v: Tuple[float, float, float] = (4.0, 4.0, 4.0)
-    k_i: Tuple[float, float, float] = (0.5, 0.5, 0.5)
+    k_p: Tuple[float, float] = (6.0, 6.0)
+    k_v: Tuple[float, float] = (4.0, 4.0)
+    k_i: Tuple[float, float] = (0.5, 0.5)
     delta_t: float = 0.1
     i_limit: float = 0.5
 
 
 @dataclass(frozen=True)
 class AttitudeThrustCmd:
-    """Collective thrust (N) and zero-yaw attitude command (rad)."""
+    """Collective thrust (N) and roll command (rad)."""
 
     f: float
     phi: float
-    theta: float
-    psi: float = 0.0
 
 
 class TrackingController:
@@ -54,7 +53,7 @@ class TrackingController:
 
     def __init__(self, gains: ControllerGains = ControllerGains()):
         self.gains = gains
-        self.integral = np.zeros(3)
+        self.integral = np.zeros(2)
 
     def reset(self) -> None:
         self.integral[:] = 0.0
@@ -70,7 +69,7 @@ class TrackingController:
         T: float,
         dt: float,
     ) -> np.ndarray:
-        """Commanded acceleration for reference sample (p, v, a) at time t.
+        """Commanded (y, z) acceleration for reference sample (p, v, a) at time t.
 
         Inside the terminal window t > T - delta_t the reference acceleration
         is returned as-is (the integral is frozen there).  Otherwise the
@@ -90,39 +89,28 @@ class TrackingController:
         return fb + np.array(g.k_i) * self.integral + k_a * ref_a
 
 
-def body_z(phi: float, theta: float) -> np.ndarray:
-    """Body z axis in world frame for a zero-yaw roll/pitch attitude."""
-    return np.array([
-        math.sin(theta) * math.cos(phi),
-        -math.sin(phi),
-        math.cos(theta) * math.cos(phi),
-    ])
-
-
 def acceleration_to_attitude_thrust(
     cmd: np.ndarray, m: float, g: float = GRAVITY
 ) -> AttitudeThrustCmd:
-    """Map a commanded world acceleration to thrust and zero-yaw attitude.
+    """Map a commanded (y, z) acceleration to thrust and roll.
 
-    The desired thrust direction is the commanded acceleration plus gravity
-    compensation; roll comes from its lateral component, pitch from the
-    two-argument arctangent of the forward over vertical components, and the
-    thrust magnitude is the projection of the desired specific force onto the
-    commanded body z axis times the mass.
+    Roll comes from the lateral share of the desired specific force
+    (ay, az + g).  The thrust is m times the projection of (ay, |az + g|) onto
+    the body axis (-sin phi, cos phi), i.e. m times the force magnitude; the
+    absolute value keeps the thrust positive when the command asks for a
+    downward specific force.
 
     Raises:
         FreeFallSingularityError: the commanded specific force vanishes.
     """
-    ax, ay, az = float(cmd[0]), float(cmd[1]), float(cmd[2])
+    ay, az = float(cmd[0]), float(cmd[1])
     vz = az + g
-    norm = math.sqrt(ax * ax + ay * ay + vz * vz)
+    norm = math.sqrt(ay * ay + vz * vz)
     if norm <= 1e-12:
         raise FreeFallSingularityError("thrust direction undefined in free fall")
     phi = -math.asin(ay / norm)
-    theta = math.atan2(ax, vz)
-    zq = body_z(phi, theta)
-    f = m * (ax * zq[0] + ay * zq[1] + vz * zq[2])
-    return AttitudeThrustCmd(f=f, phi=phi, theta=theta)
+    f = m * (abs(vz) * math.cos(phi) - ay * math.sin(phi))
+    return AttitudeThrustCmd(f=f, phi=phi)
 
 
 def attitude_pd_lifts(

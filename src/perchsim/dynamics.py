@@ -73,13 +73,7 @@ def derivative(state: QuadState, cmd: RotorCommand, params: QuadParams) -> Tuple
     Translational acceleration comes from the total lift rotated by phi minus
     gravity; roll acceleration from the differential lift times the lever arm.
     """
-    total = cmd.F1 + cmd.F2
-    sin_phi = math.sin(state.phi)
-    cos_phi = math.cos(state.phi)
-    ddy = -total * sin_phi / params.m
-    ddz = total * cos_phi / params.m - params.g
-    ddphi = (cmd.F1 - cmd.F2) * params.d_s / params.J
-    return (state.dy, state.dz, ddy, ddz, state.dphi, ddphi)
+    return _deriv_raw(*state.as_tuple(), cmd.F1, cmd.F2, params.m, params.g, params.d_s / params.J)
 
 
 def _deriv_raw(y, z, dy, dz, phi, dphi, F1, F2, m, g, d_s_over_J):

@@ -9,7 +9,7 @@ with no integration in the loop.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 import math
 
@@ -94,10 +94,7 @@ def flat_to_attitude_rate(ay: float, az: float, jy: float, jz: float, g: float =
     return -(jy * b - ay * jz) / d
 
 
-def flat_to_lifts(
-    ay: float, az: float, jy: float, jz: float, sy: float, sz: float,
-    params: QuadParams,
-) -> Tuple[float, float]:
+def flat_to_lifts(ay, az, jy, jz, sy, sz, params: QuadParams):
     """Pair lifts (F1, F2) realizing a flat trajectory point exactly.
 
     The lift sum is m times the thrust acceleration magnitude.  The lift
@@ -109,15 +106,21 @@ def flat_to_lifts(
     by the quotient rule in terms of jerk and snap.  No numeric
     differentiation is involved.
 
+    Works elementwise: the inputs are floats or arrays of one shape.  On
+    arrays, a free-fall sample gets NaN lifts, which fail every bound check.
+
     Raises:
-        FreeFallSingularityError: acceleration sits at the free-fall point.
+        FreeFallSingularityError: float inputs sit at the free-fall point.
     """
     a = ay
     b = az + params.g
     d = a * a + b * b
-    if d <= _SINGULAR_EPS:
-        raise FreeFallSingularityError("lifts undefined in exact free fall")
-    total = params.m * math.sqrt(d)
+    if isinstance(d, float):
+        if d <= _SINGULAR_EPS:
+            raise FreeFallSingularityError("lifts undefined in exact free fall")
+    else:
+        d = np.where(d <= _SINGULAR_EPS, np.nan, d)
+    total = params.m * d ** 0.5
     n = jy * b - a * jz
     n_dot = sy * b - a * sz
     d_dot = 2.0 * (a * jy + b * jz)
@@ -138,31 +141,20 @@ def check_feasible(
     [0, T] are checked; a sample sitting exactly on a state bound counts as a
     violation.  The earliest offending sample wins, with altitude checked
     before velocity before lift at equal times.  A free-fall singularity at a
-    sample is reported as a lift violation there (conservative rejection).
+    sample is reported as a lift violation there with value NaN
+    (conservative rejection).
     """
     if traj_y.T != traj_z.T:
         raise ValueError("trajectory pair must share one horizon")
     ts = np.linspace(0.0, traj_y.T, c.n_samples)
-    py, vy, ay, jy, sy = traj_y.eval_arrays(ts)
-    pz, vz, az, jz, sz = traj_z.eval_arrays(ts)
+    py, vy, ay, jy, sy = traj_y.eval(ts)
+    pz, vz, az, jz, sz = traj_z.eval(ts)
+    f1, f2 = flat_to_lifts(ay, az, jy, jz, sy, sz, params)
 
     bad_alt = (pz <= c.z_min) | (pz >= c.z_max)
     bad_vel = (vy <= c.v_min) | (vy >= c.v_max) | (vz <= c.v_min) | (vz >= c.v_max)
-
-    a = ay
-    b = az + params.g
-    d = a * a + b * b
-    singular = d <= _SINGULAR_EPS
-    d_safe = np.where(singular, 1.0, d)
-    total = params.m * np.sqrt(d_safe)
-    n = jy * b - a * jz
-    n_dot = sy * b - a * sz
-    d_dot = 2.0 * (a * jy + b * jz)
-    ddphi = -(n_dot * d_safe - n * d_dot) / (d_safe * d_safe)
-    diff = ddphi * params.J / params.d_s
-    f1 = 0.5 * (total + diff)
-    f2 = 0.5 * (total - diff)
-    bad_lift = singular | (f1 < 0.0) | (f1 > c.F_max) | (f2 < 0.0) | (f2 > c.F_max)
+    bad_f1 = ~((f1 >= 0.0) & (f1 <= c.F_max))
+    bad_lift = bad_f1 | ~((f2 >= 0.0) & (f2 <= c.F_max))
 
     bad_any = bad_alt | bad_vel | bad_lift
     if not bad_any.any():
@@ -174,5 +166,5 @@ def check_feasible(
     if bad_vel[i]:
         v_bad = vy[i] if (vy[i] <= c.v_min or vy[i] >= c.v_max) else vz[i]
         return FeasibilityResult(False, VELOCITY, t_bad, float(v_bad))
-    f_bad = f1[i] if (singular[i] or f1[i] < 0.0 or f1[i] > c.F_max) else f2[i]
+    f_bad = f1[i] if bad_f1[i] else f2[i]
     return FeasibilityResult(False, LIFT, t_bad, float(f_bad))

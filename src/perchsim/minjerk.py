@@ -9,7 +9,6 @@ axes use this solver independently and share one T.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
 
 import numpy as np
 
@@ -52,27 +51,20 @@ class AxisTrajectory:
     a0: float
     T: float
 
-    def eval(self, t: float) -> Tuple[float, float, float, float, float]:
+    def eval(self, t):
         """Position, velocity, acceleration, jerk and snap at instant t.
 
-        Raises:
-            OutOfDomainError: t is outside [0, T].
-        """
-        if t < 0.0 or t > self.T:
-            raise OutOfDomainError(f"t={t} outside [0, {self.T}]")
-        c1, c2, c3 = self.c1, self.c2, self.c3
-        p = ((((c1 / 120.0 * t + c2 / 24.0) * t + c3 / 6.0) * t + self.a0 / 2.0) * t + self.v0) * t + self.p0
-        v = (((c1 / 24.0 * t + c2 / 6.0) * t + c3 / 2.0) * t + self.a0) * t + self.v0
-        a = ((c1 / 6.0 * t + c2 / 2.0) * t + c3) * t + self.a0
-        j = (c1 / 2.0 * t + c2) * t + c3
-        s = c1 * t + c2
-        return (p, v, a, j, s)
+        t is a float or an array of instants; the five outputs have its shape.
 
-    def eval_arrays(self, ts: np.ndarray) -> Tuple[np.ndarray, ...]:
-        """Vectorized eval over an array of instants inside [0, T]."""
-        t = np.asarray(ts, dtype=float)
-        if t.size and (t.min() < 0.0 or t.max() > self.T):
-            raise OutOfDomainError("sample instants outside [0, T]")
+        Raises:
+            OutOfDomainError: t (or any of its instants) is outside [0, T].
+        """
+        if isinstance(t, float):
+            outside = t < 0.0 or t > self.T
+        else:
+            outside = t.min() < 0.0 or t.max() > self.T
+        if outside:
+            raise OutOfDomainError(f"t={t} outside [0, {self.T}]")
         c1, c2, c3 = self.c1, self.c2, self.c3
         p = ((((c1 / 120.0 * t + c2 / 24.0) * t + c3 / 6.0) * t + self.a0 / 2.0) * t + self.v0) * t + self.p0
         v = (((c1 / 24.0 * t + c2 / 6.0) * t + c3 / 2.0) * t + self.a0) * t + self.v0

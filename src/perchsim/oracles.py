@@ -179,7 +179,7 @@ def minjerk_suite(n: int = 1000, seed: int = 20240) -> dict:
         T = rng.uniform(0.2, 3.0)
         ts = np.linspace(0.0, T, 97)
         traj = solve_axis(b, T)
-        p = traj.eval_arrays(ts)[0]
+        p = traj.eval(ts)[0]
         max_dev = max(max_dev, float(np.max(np.abs(p - qp_min_jerk(b, T, ts)))))
         if rest:
             max_dev = max(max_dev, float(np.max(np.abs(p - hermite_quintic(b, T, ts)))))

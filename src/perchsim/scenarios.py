@@ -1,9 +1,11 @@
-"""Scenario construction: campaign defaults and INI-style scenario files.
+"""INI-style scenario files.
 
 A scenario file is plain key-value text with one section per configuration
-group.  Every key is optional except [scenario] phi_s_deg; omitted keys fall
-back to the campaign defaults.  Unknown sections or keys are rejected so a
-typo cannot silently revert a setting to its default.
+group.  Every key is optional except [scenario] phi_s_deg; omitted keys take
+neutral defaults (the [perch] keys come from DEFAULT_PERCH_CONDITIONS).  The
+shipped files under scenarios/ are the only source of the campaign setups
+and their retuned gains.  Unknown sections or keys are rejected so a typo
+cannot silently revert a setting to its default.
 """
 
 from __future__ import annotations
@@ -15,86 +17,13 @@ from typing import Dict, Optional
 from .controller import ControllerGains
 from .dynamics import QuadParams
 from .flatness import Constraints
-from .gripper import GripperGeometry, PerchEnvelope
+from .gripper import PerchEnvelope
 from .sim import Scenario, SurfaceMotion
 from .terminal import PerchConditions, default_conditions
 
 
 class ScenarioError(ValueError):
     """A scenario file failed validation; the message names the culprit."""
-
-
-_DEFAULT_MASS = 0.945
-
-
-def _default_params() -> QuadParams:
-    return QuadParams(m=_DEFAULT_MASS, J=0.01, d_s=0.0792)
-
-
-def _default_constraints(params: QuadParams, v_limit: float = 2.5) -> Constraints:
-    return Constraints(z_min=-2.0, z_max=5.0, v_min=-v_limit, v_max=v_limit,
-                       F_max=params.F_max, n_samples=50)
-
-
-def static_scenario(inclination_deg: float, seed: int = 0) -> Scenario:
-    """Static-surface campaign setup at a given inclination.
-
-    The roll loop is retuned for steep walls: a softer response leaves more
-    attitude lag at the end of the approach, which keeps enough closing
-    speed to carry the wheels across the contact standoff.
-    """
-    params = _default_params()
-    if inclination_deg >= 80.0:
-        k_p_phi, k_d_phi = 320.0, 26.0
-    else:
-        k_p_phi, k_d_phi = 450.0, 32.0
-    return Scenario(
-        phi_s=math.radians(inclination_deg),
-        motion=SurfaceMotion(kind="static"),
-        surface_y0=2.2,
-        surface_z0=1.0,
-        quad_y0=0.0,
-        quad_z0=1.2,
-        params=params,
-        constraints=_default_constraints(params, v_limit=2.6),
-        conditions=default_conditions("static", inclination_deg),
-        seed=seed,
-        k_p_phi=k_p_phi,
-        k_d_phi=k_d_phi,
-    )
-
-
-def moving_scenario(
-    inclination_deg: float,
-    direction: str = "forward",
-    v_target: float = 1.0,
-    accel: float = 1.0,
-    seed: int = 0,
-) -> Scenario:
-    """Moving-surface campaign setup: ramp to v_target, then hold.
-
-    Chasing a surface that drags the rendezvous point needs a stiffer
-    position loop and a much stiffer roll loop than the static setups; the
-    speed limit is also pulled in because plans at the static limit demand
-    swing rates the roll loop cannot track by the rendezvous.
-    """
-    params = _default_params()
-    return Scenario(
-        phi_s=math.radians(inclination_deg),
-        motion=SurfaceMotion(kind="ramp", v_target=v_target, accel=accel, direction=direction),
-        surface_y0=2.5,
-        surface_z0=1.0,
-        quad_y0=0.0,
-        quad_z0=1.2,
-        params=params,
-        constraints=_default_constraints(params, v_limit=2.4),
-        conditions=default_conditions(direction, inclination_deg),
-        gains=ControllerGains(k_p=(12.0, 12.0, 12.0), k_v=(8.0, 8.0, 8.0)),
-        seed=seed,
-        timeout=10.0,
-        k_p_phi=1200.0,
-        k_d_phi=35.0,
-    )
 
 
 _SECTION_KEYS: Dict[str, set] = {
@@ -108,15 +37,15 @@ _SECTION_KEYS: Dict[str, set] = {
     "envelope": {"phi_e_min_deg", "phi_e_max_deg", "vt_min", "vt_max", "vn_min", "vn_max"},
     "harness": {
         "d_l", "control_rate", "substeps", "predictor_window", "detect_threshold",
-        "timeout", "attach_hold", "init_step", "init_cap", "k_p_phi", "k_d_phi", "stall_thrust",
+        "timeout", "init_step", "init_cap", "k_p_phi", "k_d_phi", "stall_thrust",
     },
 }
 
 
-def _triple(raw: str, where: str) -> tuple:
+def _pair(raw: str, where: str) -> tuple:
     parts = [p.strip() for p in raw.split(",")]
-    if len(parts) != 3:
-        raise ScenarioError(f"{where}: expected three comma-separated values, got {raw!r}")
+    if len(parts) != 2:
+        raise ScenarioError(f"{where}: expected two comma-separated values (y, z), got {raw!r}")
     return tuple(float(p) for p in parts)
 
 
@@ -133,7 +62,7 @@ def _get(cp: configparser.ConfigParser, section: str, key: str, cast, default):
 
 
 def load_scenario(path: str, seed: Optional[int] = None) -> Scenario:
-    """Parse a scenario file, applying campaign defaults for omitted keys.
+    """Parse a scenario file, applying neutral defaults for omitted keys.
 
     Args:
         path: scenario file path.
@@ -173,7 +102,7 @@ def load_scenario(path: str, seed: Optional[int] = None) -> Scenario:
 
     try:
         params = QuadParams(
-            m=_get(cp, "quad", "m", float, _DEFAULT_MASS),
+            m=_get(cp, "quad", "m", float, 0.945),
             J=_get(cp, "quad", "j", float, 0.01),
             d_s=_get(cp, "quad", "d_s", float, 0.0792),
             F_max=_get(cp, "quad", "f_max", float, 0.0),
@@ -199,9 +128,9 @@ def load_scenario(path: str, seed: Optional[int] = None) -> Scenario:
         )
 
         gains = ControllerGains(
-            k_p=_get(cp, "gains", "k_p", lambda r: _triple(r, "[gains] k_p"), (6.0, 6.0, 6.0)),
-            k_v=_get(cp, "gains", "k_v", lambda r: _triple(r, "[gains] k_v"), (4.0, 4.0, 4.0)),
-            k_i=_get(cp, "gains", "k_i", lambda r: _triple(r, "[gains] k_i"), (0.5, 0.5, 0.5)),
+            k_p=_get(cp, "gains", "k_p", lambda r: _pair(r, "[gains] k_p"), (6.0, 6.0)),
+            k_v=_get(cp, "gains", "k_v", lambda r: _pair(r, "[gains] k_v"), (4.0, 4.0)),
+            k_i=_get(cp, "gains", "k_i", lambda r: _pair(r, "[gains] k_i"), (0.5, 0.5)),
             delta_t=_get(cp, "gains", "delta_t", float, 0.1),
             i_limit=_get(cp, "gains", "i_limit", float, 0.5),
         )
@@ -238,7 +167,6 @@ def load_scenario(path: str, seed: Optional[int] = None) -> Scenario:
             predictor_window=_get(cp, "harness", "predictor_window", float, 0.5),
             detect_threshold=_get(cp, "harness", "detect_threshold", float, 0.05),
             timeout=_get(cp, "harness", "timeout", float, 8.0 if kind == "static" else 10.0),
-            attach_hold=_get(cp, "harness", "attach_hold", float, 2.0),
             init_step=_get(cp, "harness", "init_step", float, 0.1),
             init_cap=_get(cp, "harness", "init_cap", float, 10.0),
             k_p_phi=_get(cp, "harness", "k_p_phi", float, 120.0),

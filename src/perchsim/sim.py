@@ -10,7 +10,7 @@ under seeded sample noise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -22,7 +22,7 @@ from .controller import (
     acceleration_to_attitude_thrust,
     attitude_pd_lifts,
 )
-from .dynamics import QuadParams, QuadState, RotorCommand, rk4_step
+from .dynamics import QuadParams, QuadState, rk4_step
 from .flatness import Constraints
 from .gripper import GripperGeometry, PerchEnvelope, judge_perch
 from .minjerk import AxisTrajectory
@@ -94,7 +94,6 @@ class Scenario:
     predictor_window: float = 0.5
     detect_threshold: float = 0.05  # fitted surface speed that counts as motion
     timeout: float = 8.0
-    attach_hold: float = 2.0
     init_step: float = 0.1
     init_cap: float = 10.0
     k_p_phi: float = 120.0
@@ -145,7 +144,7 @@ class PlanRecord:
 class EpisodeResult:
     """Outcome and full logs of one episode.
 
-    Impact fields are None unless contact occurred.  solve_ms mirrors the
+    Impact fields are None unless contact occurred.  solve_times mirrors the
     planner call sequence; wall-clock solve times are excluded from the
     determinism guarantee, everything else reproduces bit-for-bit per seed.
     """
@@ -160,7 +159,6 @@ class EpisodeResult:
     solve_times: List[float]
     trace: EpisodeTrace
     plans: List[PlanRecord]
-    attach_confirmed: bool = False
 
 
 @dataclass
@@ -182,14 +180,6 @@ class BatchResult:
             return 0.0
         arr = np.asarray(self.solve_times)
         return float((arr < threshold).mean())
-
-
-def _quad_accel(state: QuadState, cmd: RotorCommand, params: QuadParams) -> Tuple[float, float]:
-    total = cmd.F1 + cmd.F2
-    return (
-        -total * math.sin(state.phi) / params.m,
-        total * math.cos(state.phi) / params.m - params.g,
-    )
 
 
 def _wheel_gap(state: QuadState, sc: Scenario, y_s: float, z_s: float) -> float:
@@ -216,8 +206,6 @@ def run_episode(sc: Scenario) -> EpisodeResult:
     state = QuadState(y=sc.quad_y0, z=sc.quad_z0)
     controller = TrackingController(sc.gains)
     track = SurfaceTrack()
-    hover = 0.5 * params.m * params.g
-    applied = RotorCommand(hover, hover)
 
     sim_t = [0.0]
     clock = lambda: sim_t[0]
@@ -287,9 +275,9 @@ def run_episode(sc: Scenario) -> EpisodeResult:
         # trajectory starts at the measured state, so its tau = 0 sample is
         # the vehicle itself and tracking it would command a standstill
         if active is None:
-            ref_p = np.array([0.0, sc.quad_y0, sc.quad_z0])
-            ref_v = np.zeros(3)
-            ref_a = np.zeros(3)
+            ref_p = np.array([sc.quad_y0, sc.quad_z0])
+            ref_v = np.zeros(2)
+            ref_a = np.zeros(2)
             tau, T_active = control_dt, math.inf
         else:
             t_adopt, T_active, ty, tz = active
@@ -297,24 +285,23 @@ def run_episode(sc: Scenario) -> EpisodeResult:
             te = min(tau, T_active)
             py, vy, ay, _, _ = ty.eval(te)
             pz, vz, az, _, _ = tz.eval(te)
-            ref_p = np.array([0.0, py, pz])
-            ref_v = np.array([0.0, vy, vz])
-            ref_a = np.array([0.0, ay, az])
+            ref_p = np.array([py, pz])
+            ref_v = np.array([vy, vz])
+            ref_a = np.array([ay, az])
 
         if tau > T_active:
             # past the end of the last trajectory: drop to a low-throttle
             # surface-aligned posture and wait for contact (pre-stall hold)
             f_stall = sc.stall_thrust * params.m * params.g
-            att = AttitudeThrustCmd(f_stall, sc.phi_s, 0.0)
+            att = AttitudeThrustCmd(f_stall, sc.phi_s)
             cmd = np.array([
-                0.0,
                 -f_stall * math.sin(sc.phi_s) / params.m,
                 f_stall * math.cos(sc.phi_s) / params.m - params.g,
             ])
             phase = 2.0
         else:
-            act_p = np.array([0.0, state.y, state.z])
-            act_v = np.array([0.0, state.dy, state.dz])
+            act_p = np.array([state.y, state.z])
+            act_v = np.array([state.dy, state.dz])
             cmd = controller.command(ref_p, ref_v, ref_a, act_p, act_v, tau, T_active, control_dt)
             att = acceleration_to_attitude_thrust(cmd, params.m, params.g)
             phase = 1.0 if tau > T_active - sc.gains.delta_t else 0.0
@@ -323,15 +310,15 @@ def run_episode(sc: Scenario) -> EpisodeResult:
         rows.append([
             t, state.y, state.z, state.phi, state.dy, state.dz,
             applied.F1, applied.F2,
-            ref_p[1], ref_p[2], ref_v[1], ref_v[2], ref_a[1], ref_a[2],
-            cmd[1], cmd[2], phase, plan_T, float(plan_code),
+            ref_p[0], ref_p[1], ref_v[0], ref_v[1], ref_a[0], ref_a[1],
+            cmd[0], cmd[1], phase, plan_T, float(plan_code),
         ])
 
         for i in range(sc.substeps):
             t_sub = t + i * dt
-            applied = attitude_pd_lifts(att, state.phi, state.dphi, params, sc.k_p_phi, sc.k_d_phi)
-            rc = applied
-            state = rk4_step(state, lambda _t: rc, t_sub, dt, params)
+            if i:
+                applied = attitude_pd_lifts(att, state.phi, state.dphi, params, sc.k_p_phi, sc.k_d_phi)
+            state = rk4_step(state, lambda _t: applied, t_sub, dt, params)
             y_s_sub, dy_s_sub = sc.motion.state(t_sub + dt, sc.surface_y0)
             if _wheel_gap(state, sc, y_s_sub, sc.surface_z0) <= 0.0:
                 impact = (t_sub + dt, state, y_s_sub, dy_s_sub)
@@ -356,14 +343,10 @@ def run_episode(sc: Scenario) -> EpisodeResult:
     dV_Ys = rel_y * tx + rel_z * tz_
     dV_Zs = rel_y * nx + rel_z * nz
     ok, kind = judge_perch(phi_e, dV_Ys, dV_Zs, sc.envelope)
-    # attachment is rigid once the cups latch; holding for the attach window
-    # cannot fail in this model, so persistence reduces to bookkeeping
-    attach_confirmed = bool(ok)
     return EpisodeResult(
         success=ok, failure=kind, impact_t=t_imp, impact_phi_e=phi_e,
         impact_dV_Ys=dV_Ys, impact_dV_Zs=dV_Zs, impact_nu_s=dy_s_imp,
-        solve_times=solve_times, trace=trace, plans=plans,
-        attach_confirmed=attach_confirmed)
+        solve_times=solve_times, trace=trace, plans=plans)
 
 
 def run_batch(sc: Scenario, n: int) -> BatchResult:

@@ -8,6 +8,7 @@ capture so the run log always carries the verdicts.
 import math
 import statistics
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,12 +17,15 @@ from perchsim.controller import acceleration_to_attitude_thrust
 from perchsim.dynamics import GRAVITY
 from perchsim.gripper import AdhesionModel, adhesion_force
 from perchsim.oracles import minjerk_suite, roundtrip_suite, timesearch_suite
-from perchsim.scenarios import moving_scenario, static_scenario
+from perchsim.scenarios import load_scenario
 from perchsim.sim import run_batch
 from perchsim.surface import SurfacePrediction
 from perchsim.terminal import PerchConditions, get_terminal_states
 
 MASS = 0.945
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+STATIC = {deg: load_scenario(str(SCENARIO_DIR / f"static_{deg}.ini")) for deg in (47, 70, 90)}
+MOVING = load_scenario(str(SCENARIO_DIR / "moving_90_forward.ini"))
 
 
 def _report(capsys, name, ok, detail):
@@ -31,12 +35,12 @@ def _report(capsys, name, ok, detail):
 
 @pytest.fixture(scope="module")
 def static_batches():
-    return {deg: run_batch(static_scenario(float(deg)), 10) for deg in (47, 70, 90)}
+    return {deg: run_batch(sc, 10) for deg, sc in STATIC.items()}
 
 
 @pytest.fixture(scope="module")
 def moving_batch():
-    return run_batch(moving_scenario(90.0, "forward", v_target=1.0), 10)
+    return run_batch(MOVING, 10)
 
 
 def test_criterion_1_minjerk_matches_oracle(capsys):
@@ -97,7 +101,7 @@ def test_criterion_5_terminal_handover_identity(capsys):
         cond = PerchConditions(rng.uniform(0.0, 0.5), rng.uniform(-0.8, -0.1),
                                rng.uniform(0.05, 0.4))
         ts = get_terminal_states(pred, rng.uniform(0.0, 2.0), cond)
-        att = acceleration_to_attitude_thrust(np.array([0.0, ts.ddy, ts.ddz]), MASS)
+        att = acceleration_to_attitude_thrust(np.array([ts.ddy, ts.ddz]), MASS)
         worst_phi = max(worst_phi, abs(att.phi - phi_s))
         worst_f = max(worst_f, abs(att.f - MASS * GRAVITY) / (MASS * GRAVITY))
     ok = worst_phi < 1e-12 and worst_f < 1e-12
@@ -131,13 +135,11 @@ def test_criterion_7_moving_surface(capsys, moving_batch):
 
 
 def test_criterion_8_handover_and_impact_window(capsys, static_batches, moving_batch):
-    scs = {deg: static_scenario(float(deg)) for deg in (47, 70, 90)}
-    sc_mov = moving_scenario(90.0, "forward", v_target=1.0)
     checked = 0
     bad = []
     for key, batch in [(47, static_batches[47]), (70, static_batches[70]),
                        (90, static_batches[90]), ("moving", moving_batch)]:
-        sc = sc_mov if key == "moving" else scs[key]
+        sc = MOVING if key == "moving" else STATIC[key]
         for i, e in enumerate(batch.episodes):
             if not e.success:
                 continue

@@ -17,7 +17,7 @@ from perchsim.flatness import (
     flat_to_attitude_rate,
     flat_to_lifts,
 )
-from perchsim.minjerk import AxisBoundary, solve_axis
+from perchsim.minjerk import AxisBoundary, AxisTrajectory, solve_axis
 
 PARAMS = QuadParams(m=0.945)
 G = PARAMS.g
@@ -107,6 +107,29 @@ def test_lift_violation():
     c = Constraints(z_min=0.0, z_max=5.0, v_min=-20.0, v_max=20.0, F_max=0.5 * PARAMS.m * G)
     res = check_feasible(ty, tz, c, PARAMS)
     assert res.violation == LIFT
+
+
+def test_free_fall_sample_is_a_lift_violation():
+    # az climbs linearly through -g and hits it exactly at the middle sample
+    ty = AxisTrajectory(c1=0.0, c2=0.0, c3=0.0, p0=0.0, v0=0.0, a0=0.0, T=1.0)
+    tz = AxisTrajectory(c1=0.0, c2=0.0, c3=4.0, p0=10.0, v0=0.0, a0=-G - 2.0, T=1.0)
+    assert tz.eval(0.5)[2] == -G and ty.eval(0.5)[2] == 0.0
+    c = Constraints(z_min=0.0, z_max=20.0, v_min=-20.0, v_max=20.0, F_max=PARAMS.m * G,
+                    n_samples=5)
+    res = check_feasible(ty, tz, c, PARAMS)
+    assert res.violation == LIFT
+    assert res.t == 0.5
+    assert math.isnan(res.value)
+
+
+def test_free_fall_lifts():
+    with pytest.raises(FreeFallSingularityError):
+        flat_to_lifts(0.0, -G, 0.0, 0.0, 0.0, 0.0, PARAMS)
+    # elementwise on arrays: only the free-fall entry is undefined
+    f1, f2 = flat_to_lifts(np.zeros(2), np.array([-G, 0.0]), np.zeros(2), np.zeros(2),
+                           np.zeros(2), np.zeros(2), PARAMS)
+    assert np.isnan(f1[0]) and np.isnan(f2[0])
+    assert (f1[1], f2[1]) == flat_to_lifts(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, PARAMS)
 
 
 def test_bound_sample_counts_as_violation():

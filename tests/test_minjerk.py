@@ -56,7 +56,7 @@ def test_zero_displacement_is_identity():
 def test_eval_arrays_matches_eval():
     traj = solve_axis(B, T)
     ts = np.linspace(0.0, T, 23)
-    arrays = traj.eval_arrays(ts)
+    arrays = traj.eval(ts)
     for i, t in enumerate(ts):
         scalar = traj.eval(float(t))
         for k in range(5):
@@ -76,7 +76,9 @@ def test_out_of_domain():
     with pytest.raises(OutOfDomainError):
         traj.eval(T + 0.01)
     with pytest.raises(OutOfDomainError):
-        traj.eval_arrays(np.array([0.0, T + 0.5]))
+        traj.eval(np.array([0.0, T + 0.5]))
+    with pytest.raises(OutOfDomainError):
+        traj.eval(np.array([-0.5, 0.0]))
 
 
 def test_coasting_initial_conditions():

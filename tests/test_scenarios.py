@@ -1,31 +1,41 @@
 """Scenario files: shipped campaign configs and loader validation."""
 
+import math
 from pathlib import Path
 
 import pytest
 
-from perchsim.scenarios import (
-    ScenarioError,
-    load_scenario,
-    moving_scenario,
-    static_scenario,
-)
+from perchsim.scenarios import ScenarioError, load_scenario
+from perchsim.terminal import DEFAULT_PERCH_CONDITIONS
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
+#: file -> (motion key, inclination, roll k_p/k_d, v band, outer k_p/k_v, timeout, surface y0)
+CAMPAIGNS = {
+    "static_47.ini": ("static", 47, (450.0, 32.0), 2.6, ((6.0, 6.0), (4.0, 4.0)), 8.0, 2.2),
+    "static_70.ini": ("static", 70, (450.0, 32.0), 2.6, ((6.0, 6.0), (4.0, 4.0)), 8.0, 2.2),
+    "static_90.ini": ("static", 90, (320.0, 26.0), 2.6, ((6.0, 6.0), (4.0, 4.0)), 8.0, 2.2),
+    "moving_90_forward.ini": (
+        "forward", 90, (1200.0, 35.0), 2.4, ((12.0, 12.0), (8.0, 8.0)), 10.0, 2.5),
+}
 
-@pytest.mark.parametrize("name,deg", [
-    ("static_47.ini", 47.0),
-    ("static_70.ini", 70.0),
-    ("static_90.ini", 90.0),
-])
-def test_shipped_static_files_match_constructors(name, deg):
-    assert load_scenario(str(SCENARIO_DIR / name)) == static_scenario(deg)
 
-
-def test_shipped_moving_file_matches_constructor():
-    loaded = load_scenario(str(SCENARIO_DIR / "moving_90_forward.ini"))
-    assert loaded == moving_scenario(90.0, "forward")
+@pytest.mark.parametrize("name", sorted(CAMPAIGNS))
+def test_shipped_files_pin_campaign_values(name):
+    motion, deg, roll, v, (k_p, k_v), timeout, y0 = CAMPAIGNS[name]
+    sc = load_scenario(str(SCENARIO_DIR / name))
+    assert sc.phi_s == math.radians(deg)
+    assert (sc.motion.kind == "static") == (motion == "static")
+    if motion != "static":
+        assert (sc.motion.direction, sc.motion.v_target, sc.motion.accel) == (motion, 1.0, 1.0)
+    assert (sc.k_p_phi, sc.k_d_phi) == roll
+    assert (sc.constraints.v_min, sc.constraints.v_max) == (-v, v)
+    assert (sc.gains.k_p, sc.gains.k_v) == (k_p, k_v)
+    assert sc.timeout == timeout
+    assert (sc.surface_y0, sc.surface_z0) == (y0, 1.0)
+    assert (sc.quad_y0, sc.quad_z0) == (0.0, 1.2)
+    assert sc.conditions == DEFAULT_PERCH_CONDITIONS[(motion, deg)]
+    assert (sc.seed, sc.noise_sigma, sc.stall_thrust) == (0, 0.001, 0.4)
 
 
 def test_minimal_file_gets_neutral_defaults(tmp_path):
@@ -38,7 +48,7 @@ def test_minimal_file_gets_neutral_defaults(tmp_path):
     assert sc.stall_thrust == 0.4
     assert sc.timeout == 8.0
     assert sc.surface_y0 == 2.2
-    assert sc.gains.k_p == (6.0, 6.0, 6.0)
+    assert sc.gains.k_p == (6.0, 6.0)
     assert sc.noise_sigma == 0.001
 
 
@@ -88,9 +98,17 @@ def test_unparsable_value_named(tmp_path):
 
 
 def test_bad_gain_triple(tmp_path):
+    # gains are (y, z) pairs; a leftover x gain is an error, not ignored
     f = tmp_path / "s.ini"
-    f.write_text("[scenario]\nphi_s_deg = 47\n[gains]\nk_p = 1, 2\n")
-    with pytest.raises(ScenarioError, match="three comma-separated"):
+    f.write_text("[scenario]\nphi_s_deg = 47\n[gains]\nk_p = 1, 2, 3\n")
+    with pytest.raises(ScenarioError, match=r"k_p: expected two comma-separated"):
+        load_scenario(str(f))
+
+
+def test_attach_hold_rejected(tmp_path):
+    f = tmp_path / "s.ini"
+    f.write_text("[scenario]\nphi_s_deg = 47\n[harness]\nattach_hold = 2.0\n")
+    with pytest.raises(ScenarioError, match="attach_hold"):
         load_scenario(str(f))
 
 

@@ -2,13 +2,14 @@
 
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from perchsim.dynamics import QuadState
 from perchsim.gripper import A_FAILURE, PerchEnvelope
-from perchsim.scenarios import static_scenario
+from perchsim.scenarios import load_scenario
 from perchsim.sim import (
     NO_CONTACT,
     EpisodeTrace,
@@ -19,7 +20,9 @@ from perchsim.sim import (
 )
 
 # short timeout keeps the suite quick; this setup makes contact around 1.4 s
-SC = replace(static_scenario(47.0), timeout=3.0)
+SC = replace(
+    load_scenario(str(Path(__file__).resolve().parent.parent / "scenarios" / "static_47.ini")),
+    timeout=3.0)
 
 
 def _traces_equal(a: EpisodeTrace, b: EpisodeTrace) -> bool:
@@ -32,7 +35,6 @@ def test_static_episode_succeeds():
     res = run_episode(SC)
     assert res.success
     assert res.failure is None
-    assert res.attach_confirmed
     assert 0.5 < res.impact_t < 3.0
     assert SC.envelope.phi_e_min <= res.impact_phi_e <= SC.envelope.phi_e_max
     assert SC.envelope.vn_min <= res.impact_dV_Zs <= SC.envelope.vn_max
@@ -64,7 +66,6 @@ def test_envelope_only_affects_the_verdict():
     res = run_episode(replace(SC, envelope=tight))
     assert not res.success
     assert res.failure == A_FAILURE
-    assert not res.attach_confirmed
     # scoring changed, physics did not
     assert res.impact_t == base.impact_t
     assert res.impact_phi_e == base.impact_phi_e
