@@ -108,6 +108,10 @@ def cmd_batch(args: argparse.Namespace) -> int:
     return 0
 
 
+#: one control period at 30 Hz, the planner's budget per cycle
+_PLAN_BUDGET_MS = 1e3 / 30.0
+
+
 def _percentile(sorted_ms: List[float], q: float) -> float:
     # nearest-rank on the sorted sample
     idx = max(0, min(len(sorted_ms) - 1, math.ceil(q * len(sorted_ms)) - 1))
@@ -123,11 +127,17 @@ def cmd_bench(args: argparse.Namespace) -> int:
     if not ms:
         raise ScenarioError("no planner invocations happened; nothing to report")
     frac = sum(1 for v in ms if v < 10.0) / len(ms)
+    over = sum(1 for v in ms if v > _PLAN_BUDGET_MS) / len(ms)
+    probes = [p.result.probes for e in res.episodes for p in e.plans]
     print(f"plan_calls: {len(ms)}")
     print(f"p50_ms: {_percentile(ms, 0.50):.3f}")
     print(f"p73_ms: {_percentile(ms, 0.73):.3f}")
     print(f"p95_ms: {_percentile(ms, 0.95):.3f}")
+    print(f"p99_ms: {_percentile(ms, 0.99):.3f}")
+    print(f"max_ms: {ms[-1]:.3f}")
     print(f"fraction_under_10ms: {frac:.3f}")
+    print(f"fraction_over_33ms: {over:.3f}")
+    print(f"probes_per_cycle: {statistics.fmean(probes):.2f}")
     return 0
 
 

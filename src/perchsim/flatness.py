@@ -129,6 +129,34 @@ def flat_to_lifts(ay, az, jy, jz, sy, sz, params: QuadParams):
     return (0.5 * (total + diff), 0.5 * (total - diff))
 
 
+def _screen(traj_y: AxisTrajectory, traj_z: AxisTrajectory, c: Constraints, params: QuadParams):
+    """Sample a trajectory pair and test every sample against the limits.
+
+    Scalar horizons sample n_samples instants on [0, T]; a pair of (n, 1)
+    horizon columns samples one such row per horizon.  Returns the sample
+    instants, the sampled altitude and velocities, the lifts and the
+    altitude, velocity, first-lift and any-lift violation masks, all of the
+    instants' shape.  A sample sitting exactly on a state bound counts as a
+    violation; a free-fall sample has NaN lifts, which fail the lift band.
+    """
+    if np.any(traj_y.T != traj_z.T):
+        raise ValueError("trajectory pair must share one horizon")
+    T = traj_y.T
+    if isinstance(T, np.ndarray):
+        ts = np.linspace(0.0, T[:, 0], c.n_samples, axis=1)
+    else:
+        ts = np.linspace(0.0, T, c.n_samples)
+    _, vy, ay, jy, sy = traj_y.eval(ts)
+    pz, vz, az, jz, sz = traj_z.eval(ts)
+    f1, f2 = flat_to_lifts(ay, az, jy, jz, sy, sz, params)
+
+    bad_alt = (pz <= c.z_min) | (pz >= c.z_max)
+    bad_vel = (vy <= c.v_min) | (vy >= c.v_max) | (vz <= c.v_min) | (vz >= c.v_max)
+    bad_f1 = ~((f1 >= 0.0) & (f1 <= c.F_max))
+    bad_lift = bad_f1 | ~((f2 >= 0.0) & (f2 <= c.F_max))
+    return ts, (pz, vy, vz, f1, f2), (bad_alt, bad_vel, bad_f1, bad_lift)
+
+
 def check_feasible(
     traj_y: AxisTrajectory,
     traj_z: AxisTrajectory,
@@ -144,18 +172,8 @@ def check_feasible(
     sample is reported as a lift violation there with value NaN
     (conservative rejection).
     """
-    if traj_y.T != traj_z.T:
-        raise ValueError("trajectory pair must share one horizon")
-    ts = np.linspace(0.0, traj_y.T, c.n_samples)
-    py, vy, ay, jy, sy = traj_y.eval(ts)
-    pz, vz, az, jz, sz = traj_z.eval(ts)
-    f1, f2 = flat_to_lifts(ay, az, jy, jz, sy, sz, params)
-
-    bad_alt = (pz <= c.z_min) | (pz >= c.z_max)
-    bad_vel = (vy <= c.v_min) | (vy >= c.v_max) | (vz <= c.v_min) | (vz >= c.v_max)
-    bad_f1 = ~((f1 >= 0.0) & (f1 <= c.F_max))
-    bad_lift = bad_f1 | ~((f2 >= 0.0) & (f2 <= c.F_max))
-
+    ts, (pz, vy, vz, f1, f2), (bad_alt, bad_vel, bad_f1, bad_lift) = _screen(
+        traj_y, traj_z, c, params)
     bad_any = bad_alt | bad_vel | bad_lift
     if not bad_any.any():
         return FeasibilityResult(True)
@@ -168,3 +186,20 @@ def check_feasible(
         return FeasibilityResult(False, VELOCITY, t_bad, float(v_bad))
     f_bad = f1[i] if bad_f1[i] else f2[i]
     return FeasibilityResult(False, LIFT, t_bad, float(f_bad))
+
+
+def feasible_rows(
+    traj_y: AxisTrajectory,
+    traj_z: AxisTrajectory,
+    c: Constraints,
+    params: QuadParams,
+) -> np.ndarray:
+    """Screen a batch of trajectory pairs at once, one verdict per row.
+
+    The trajectories hold one quintic per row, with (n, 1) horizon and
+    coefficient columns as solve_axis returns for a column of horizons.
+    Row i's verdict equals bool(check_feasible(...)) on that row's pair: the
+    same samples, the same lifts and the same bound tests.
+    """
+    _, _, (bad_alt, bad_vel, _, bad_lift) = _screen(traj_y, traj_z, c, params)
+    return ~(bad_alt | bad_vel | bad_lift).any(axis=1)

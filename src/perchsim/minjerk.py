@@ -54,15 +54,18 @@ class AxisTrajectory:
     def eval(self, t):
         """Position, velocity, acceleration, jerk and snap at instant t.
 
-        t is a float or an array of instants; the five outputs have its shape.
+        t is a scalar (float or int) or an array of instants.  The fields may
+        also be (n, 1) columns, one row per horizon, as solve_axis returns
+        for a column T; t is then an (n, m) array of instants whose row i
+        lies in [0, T[i]], and the outputs broadcast to (n, m).
 
         Raises:
             OutOfDomainError: t (or any of its instants) is outside [0, T].
         """
-        if isinstance(t, float):
-            outside = t < 0.0 or t > self.T
+        if isinstance(t, np.ndarray) or isinstance(self.T, np.ndarray):
+            outside = bool(np.any(t < 0.0)) or bool(np.any(t > self.T))
         else:
-            outside = t.min() < 0.0 or t.max() > self.T
+            outside = t < 0.0 or t > self.T
         if outside:
             raise OutOfDomainError(f"t={t} outside [0, {self.T}]")
         c1, c2, c3 = self.c1, self.c2, self.c3
@@ -74,7 +77,7 @@ class AxisTrajectory:
         return (p, v, a, j, s)
 
 
-def solve_axis(b: AxisBoundary, T: float) -> AxisTrajectory:
+def solve_axis(b: AxisBoundary, T) -> AxisTrajectory:
     """Solve the minimum-jerk quintic for one axis over horizon T.
 
     The boundary mismatch is reduced to the part not explained by coasting at
@@ -83,10 +86,14 @@ def solve_axis(b: AxisBoundary, T: float) -> AxisTrajectory:
     the 1/T^5 factor a very small T produces huge but still exact values, so
     callers enforce their own lower bound on T.
 
+    T may be an (n, 1) column of horizons, with boundary fields that are
+    floats or columns of the same length; the coefficients are then (n, 1)
+    columns and the trajectory holds one quintic per row.
+
     Raises:
-        InvalidHorizonError: T <= 0 or not finite.
+        InvalidHorizonError: T (or any of its rows) <= 0 or not finite.
     """
-    if not (T > 0.0) or not np.isfinite(T):
+    if not (np.all(T > 0.0) and np.all(np.isfinite(T))):
         raise InvalidHorizonError(f"horizon must be positive and finite, got {T}")
     d_a = b.aT - b.a0
     d_v = b.vT - b.v0 - b.a0 * T

@@ -38,7 +38,12 @@ class PerchConditions:
 
 @dataclass(frozen=True)
 class TerminalStates:
-    """World-frame rendezvous state at the end of the horizon."""
+    """World-frame rendezvous state at the end of the horizon.
+
+    For an array of horizons, the fields that depend on the horizon (y,
+    under the affine surface prediction) are arrays of its shape; the
+    others stay floats.
+    """
 
     y: float
     z: float
@@ -72,12 +77,16 @@ def default_conditions(motion: str, inclination_deg: float) -> PerchConditions:
         raise KeyError(f"no default perch conditions for {key}") from None
 
 
-def get_terminal_states(p: SurfacePrediction, horizon: float, cond: PerchConditions) -> TerminalStates:
+def get_terminal_states(p: SurfacePrediction, horizon, cond: PerchConditions) -> TerminalStates:
     """Terminal state at `horizon` seconds ahead of the prediction anchor.
 
     Velocities add the commanded surface-frame relative velocity, rotated by
     the inclination, to the predicted surface velocity.  The position backs
     off the predicted contact point by l_Zs along the surface normal.
+
+    horizon may be a float or an array (for example an (n, 1) column of
+    candidate horizons); the states are computed elementwise, and each entry
+    equals the float call at that horizon bit for bit.
     """
     y_s, dy_s, z_s, dz_s = p.predict(horizon)
     phi = p.phi_s

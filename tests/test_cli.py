@@ -105,6 +105,11 @@ def test_bench_reports_percentiles(quick_scenario, capsys):
     out = capsys.readouterr().out
     assert "p50_ms:" in out and "p73_ms:" in out and "p95_ms:" in out
     assert "fraction_under_10ms:" in out
+    lines = dict(line.split(": ") for line in out.splitlines())
+    assert float(lines["p95_ms"]) <= float(lines["p99_ms"]) <= float(lines["max_ms"])
+    assert 0.0 <= float(lines["fraction_over_33ms"]) <= 1.0
+    # every cycle screens at least one coarse pass of at least one horizon
+    assert float(lines["probes_per_cycle"]) >= 1.0
 
 
 def test_oracle_small_suite(capsys):

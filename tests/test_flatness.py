@@ -13,6 +13,7 @@ from perchsim.flatness import (
     Constraints,
     FreeFallSingularityError,
     check_feasible,
+    feasible_rows,
     flat_to_attitude,
     flat_to_attitude_rate,
     flat_to_lifts,
@@ -154,3 +155,37 @@ def test_constraints_validation():
         Constraints(z_min=0.0, z_max=1.0, v_min=1.0, v_max=-1.0, F_max=1.0)
     with pytest.raises(ValueError):
         Constraints(z_min=0.0, z_max=1.0, v_min=-1.0, v_max=1.0, F_max=1.0, n_samples=1)
+
+
+def _stack(pairs):
+    """Row-stack scalar trajectory pairs into one pair of (n, 1) columns."""
+    def col(trajs, field):
+        return np.array([getattr(t, field) for t in trajs]).reshape(-1, 1)
+    fields = ("c1", "c2", "c3", "p0", "v0", "a0", "T")
+    ty, tz = zip(*pairs)
+    return (AxisTrajectory(**{f: col(ty, f) for f in fields}),
+            AxisTrajectory(**{f: col(tz, f) for f in fields}))
+
+
+def test_feasible_rows_match_scalar_screen():
+    # rows of different horizons, one per verdict kind, screened in one call
+    c = Constraints(z_min=1.0, z_max=2.0, v_min=-1.0, v_max=1.0, F_max=0.6 * PARAMS.m * G,
+                    n_samples=5)
+    pairs = [
+        _hover_pair(z=1.5),                                     # feasible
+        _hover_pair(z=3.0),                                     # altitude
+        (solve_axis(AxisBoundary(0.0, 0.0, 0.0, 2.0, 0.0, 0.0), 2.0),
+         solve_axis(AxisBoundary(1.5, 0.0, 0.0, 1.5, 0.0, 0.0), 2.0)),   # velocity
+        (solve_axis(AxisBoundary(0.0, 0.0, 0.0, 0.0, 0.0, 0.0), 0.6),
+         solve_axis(AxisBoundary(1.5, 0.0, 0.0, 1.8, 0.0, 0.0), 0.6)),   # lift
+        (AxisTrajectory(c1=0.0, c2=0.0, c3=0.0, p0=0.0, v0=0.0, a0=0.0, T=1.0),
+         AxisTrajectory(c1=0.0, c2=0.0, c3=4.0, p0=1.5, v0=0.0, a0=-G, T=1.0)),  # free fall at t=0
+        _hover_pair(z=1.0),                                     # exactly on z_min
+    ]
+    verdicts = [check_feasible(ty, tz, c, PARAMS) for ty, tz in pairs]
+    assert [v.violation for v in verdicts] == [None, ALTITUDE, VELOCITY, LIFT, LIFT, ALTITUDE]
+    assert math.isnan(verdicts[4].value)
+    assert verdicts[5].value == c.z_min
+    rows = feasible_rows(*_stack(pairs), c, PARAMS)
+    assert rows.shape == (len(pairs),)
+    assert rows.tolist() == [bool(v) for v in verdicts]

@@ -81,6 +81,42 @@ def test_out_of_domain():
         traj.eval(np.array([-0.5, 0.0]))
 
 
+def test_int_instant_is_a_scalar():
+    traj = solve_axis(AxisBoundary(0.0, 0.0, 0.0, 2.0, 0.0, 0.0), 1.0)
+    assert traj.eval(0) == traj.eval(0.0)
+    assert traj.eval(1) == traj.eval(1.0)
+    with pytest.raises(OutOfDomainError):
+        traj.eval(2)
+    with pytest.raises(OutOfDomainError):
+        traj.eval(-1)
+
+
+def test_column_horizons_match_rows():
+    # one quintic per row; each row is bit-equal to the scalar solve and eval
+    Ts = [0.9, 1.3, 2.05]
+    col = solve_axis(B, np.array(Ts).reshape(-1, 1))
+    ts = np.linspace(0.0, np.array(Ts), 7, axis=1)
+    rows = col.eval(ts)
+    for i, Ti in enumerate(Ts):
+        scalar = solve_axis(B, Ti)
+        assert (col.c1[i, 0], col.c2[i, 0], col.c3[i, 0]) == (scalar.c1, scalar.c2, scalar.c3)
+        expected = scalar.eval(np.linspace(0.0, Ti, 7))
+        for k in range(5):
+            assert np.array_equal(rows[k][i], expected[k])
+
+
+def test_column_domain_is_per_row():
+    col = solve_axis(B, np.array([[1.0], [2.0]]))
+    col.eval(np.array([[0.0, 1.0], [0.0, 2.0]]))
+    with pytest.raises(OutOfDomainError):
+        # 1.5 is inside the second row's [0, 2] but outside the first row's
+        col.eval(np.array([[0.0, 1.5], [0.0, 1.5]]))
+    with pytest.raises(OutOfDomainError):
+        col.eval(np.array([[0.0, 1.0], [-0.1, 2.0]]))
+    with pytest.raises(InvalidHorizonError):
+        solve_axis(B, np.array([[1.0], [0.0]]))
+
+
 def test_coasting_initial_conditions():
     # with zero free coefficients the polynomial is the pure coast
     traj = AxisTrajectory(c1=0.0, c2=0.0, c3=0.0, p0=1.0, v0=2.0, a0=-1.0, T=3.0)

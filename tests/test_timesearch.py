@@ -14,11 +14,13 @@ from perchsim.timesearch import (
     BISECT_TOL,
     FALLBACK,
     FOUND,
+    MIN_STRIDE,
     STOP_CUTOFF,
     STOPPED,
     FlatState,
     InitializationFailedError,
     SearchState,
+    _solve_pair,
     initialize,
     plan,
 )
@@ -97,11 +99,14 @@ def test_plan_is_deterministic():
     assert a.trajectories[1] == b.trajectories[1]
 
 
+# a target far beyond reach at v_max 0.5 makes the whole window infeasible
+SLOW = Constraints(z_min=-2.0, z_max=5.0, v_min=-0.5, v_max=0.5,
+                   F_max=PARAMS.F_max, n_samples=50)
+FAR = SurfacePrediction(y0=6.0, vy=0.0, z0=1.0, phi_s=math.radians(70), t_fit=0.0)
+
+
 def test_fallback_counts_down_then_stops():
-    # a target far beyond reach at v_max 0.5 makes the whole window infeasible
-    slow = Constraints(z_min=-2.0, z_max=5.0, v_min=-0.5, v_max=0.5,
-                       F_max=PARAMS.F_max, n_samples=50)
-    far = SurfacePrediction(y0=6.0, vy=0.0, z0=1.0, phi_s=math.radians(70), t_fit=0.0)
+    slow, far = SLOW, FAR
     fake = [0.1]
     st = SearchState(T_last=0.6, T_e=0.0, clock=lambda: fake[0])
 
@@ -125,3 +130,106 @@ def test_uninitialized_state_rejected():
     st = SearchState(T_last=1.0, T_e=0.0, clock=lambda: 0.0, initialized=False)
     with pytest.raises(ValueError):
         plan(st, S0, PRED, COND, CONSTR, PARAMS)
+
+
+# --- the probe-by-probe search, kept here as the reference for the batched one
+
+
+def _probe(s0, pred, cond, T, c, params):
+    sT = get_terminal_states(pred, T, cond)
+    ty, tz = _solve_pair(s0, sT, T)
+    return bool(check_feasible(ty, tz, c, params))
+
+
+def _reference_initialize(s0, pred, cond, c, params, step=0.1, cap=10.0):
+    n = int(round(cap / step))
+    for k in range(1, n + 1):
+        T = k * step
+        if _probe(s0, pred, cond, T, c, params):
+            return T
+    raise InitializationFailedError(f"no feasible horizon up to {cap} s")
+
+
+def _reference_plan(T_last, T_e, now, s0, pred, cond, c, params):
+    """(T, outcome, terminal, trajectories, probes, stride levels)."""
+    probes, levels = 0, 1
+    T_l = 0.5 * T_last
+    T_r = 1.5 * T_last
+    stride = (T_r - T_l) / 5.0
+    flag = False
+    while not flag:
+        probes += 1
+        flag = _probe(s0, pred, cond, T_l, c, params)
+        if not flag:
+            T_l += stride
+            if T_l > T_r:
+                stride *= 0.5
+                T_l = 0.5 * T_last + stride
+                if stride < MIN_STRIDE:
+                    break
+                levels += 1
+        else:
+            T_r = T_l
+            T_l = T_r - stride
+            while T_r - T_l > BISECT_TOL:
+                mid = 0.5 * (T_l + T_r)
+                probes += 1
+                if _probe(s0, pred, cond, mid, c, params):
+                    T_r = mid
+                else:
+                    T_l = mid
+            break
+    if flag:
+        T, outcome = T_r, FOUND
+    else:
+        T, outcome = T_last - (now - T_e), FALLBACK
+    if T < STOP_CUTOFF:
+        return T, STOPPED, None, None, probes, levels
+    sT = get_terminal_states(pred, T, cond)
+    return T, outcome, sT, _solve_pair(s0, sT, T), probes, levels
+
+
+def _assert_plan_matches_reference(T_last, pred, c, now=0.0):
+    ref = _reference_plan(T_last, 0.0, now, S0, pred, COND, c, PARAMS)
+    res = plan(SearchState(T_last, 0.0, lambda: now), S0, pred, COND, c, PARAMS)
+    assert (res.T, res.outcome, res.terminal, res.trajectories) == ref[:4]
+    assert type(res.T) is float
+    return res, ref
+
+
+def test_batched_plan_found_in_first_pass_matches_reference():
+    res, ref = _assert_plan_matches_reference(2.0, PRED, CONSTR)
+    assert res.outcome == FOUND and ref[5] == 1 and res.passes == 1
+
+
+def test_batched_plan_found_after_halving_matches_reference():
+    res, ref = _assert_plan_matches_reference(0.905, PRED, CONSTR)
+    assert res.outcome == FOUND and ref[5] >= 2
+    assert res.passes == ref[5]
+
+
+def test_batched_plan_fallback_then_stop_matches_reference():
+    res, _ = _assert_plan_matches_reference(0.6, FAR, SLOW, now=0.1)
+    assert res.outcome == FALLBACK
+    res, _ = _assert_plan_matches_reference(0.5, FAR, SLOW, now=0.15)
+    assert res.outcome == STOPPED
+
+
+def test_batched_initialize_matches_reference():
+    st = initialize(S0, PRED, COND, CONSTR, PARAMS)
+    assert st.T_last == _reference_initialize(S0, PRED, COND, CONSTR, PARAMS)
+    assert type(st.T_last) is float
+    tight = Constraints(z_min=-2.0, z_max=5.0, v_min=-0.1, v_max=0.1,
+                        F_max=PARAMS.F_max, n_samples=50)
+    with pytest.raises(InitializationFailedError):
+        _reference_initialize(S0, PRED, COND, tight, PARAMS, cap=2.0)
+    with pytest.raises(InitializationFailedError):
+        initialize(S0, PRED, COND, tight, PARAMS, cap=2.0)
+
+
+def test_fallback_work_counts_are_pinned():
+    # every pass of a FALLBACK cycle is screened whole, so the probe count
+    # equals the probe-by-probe loop's and there is one pass per stride level
+    res, ref = _assert_plan_matches_reference(0.6, FAR, SLOW, now=0.1)
+    assert (res.probes, res.passes) == (ref[4], ref[5])
+    assert (res.probes, res.passes) == (74, 4)
