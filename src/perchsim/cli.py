@@ -128,7 +128,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         raise ScenarioError("no planner invocations happened; nothing to report")
     frac = sum(1 for v in ms if v < 10.0) / len(ms)
     over = sum(1 for v in ms if v > _PLAN_BUDGET_MS) / len(ms)
-    probes = [p.result.probes for e in res.episodes for p in e.plans]
+    cycles = [p.result for e in res.episodes for p in e.plans]
     print(f"plan_calls: {len(ms)}")
     print(f"p50_ms: {_percentile(ms, 0.50):.3f}")
     print(f"p73_ms: {_percentile(ms, 0.73):.3f}")
@@ -137,7 +137,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
     print(f"max_ms: {ms[-1]:.3f}")
     print(f"fraction_under_10ms: {frac:.3f}")
     print(f"fraction_over_33ms: {over:.3f}")
-    print(f"probes_per_cycle: {statistics.fmean(probes):.2f}")
+    print(f"probes_per_cycle: {statistics.fmean(r.probes for r in cycles):.2f}")
+    print(f"screens_per_cycle: {statistics.fmean(r.screens for r in cycles):.2f}")
     return 0
 
 

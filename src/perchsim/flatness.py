@@ -129,29 +129,58 @@ def flat_to_lifts(ay, az, jy, jz, sy, sz, params: QuadParams):
     return (0.5 * (total + diff), 0.5 * (total - diff))
 
 
-def _screen(traj_y: AxisTrajectory, traj_z: AxisTrajectory, c: Constraints, params: QuadParams):
-    """Sample a trajectory pair and test every sample against the limits.
+def _state_violations(pz, vy, vz, c: Constraints):
+    """Altitude and velocity violation flags of sampled states, elementwise.
 
-    Scalar horizons sample n_samples instants on [0, T]; a pair of (n, 1)
-    horizon columns samples one such row per horizon.  Returns the sample
-    instants, the sampled altitude and velocities, the lifts and the
-    altitude, velocity, first-lift and any-lift violation masks, all of the
-    instants' shape.  A sample sitting exactly on a state bound counts as a
-    violation; a free-fall sample has NaN lifts, which fail the lift band.
+    A value sitting exactly on a bound counts as a violation; NaN violates
+    nothing here.  Works on floats or arrays of one shape.
     """
-    if np.any(traj_y.T != traj_z.T):
-        raise ValueError("trajectory pair must share one horizon")
-    T = traj_y.T
-    if isinstance(T, np.ndarray):
-        ts = np.linspace(0.0, T[:, 0], c.n_samples, axis=1)
-    else:
-        ts = np.linspace(0.0, T, c.n_samples)
-    _, vy, ay, jy, sy = traj_y.eval(ts)
-    pz, vz, az, jz, sz = traj_z.eval(ts)
-    f1, f2 = flat_to_lifts(ay, az, jy, jz, sy, sz, params)
-
     bad_alt = (pz <= c.z_min) | (pz >= c.z_max)
     bad_vel = (vy <= c.v_min) | (vy >= c.v_max) | (vz <= c.v_min) | (vz >= c.v_max)
+    return bad_alt, bad_vel
+
+
+def state_in_band(z: float, dy: float, dz: float, c: Constraints) -> bool:
+    """Whether a state passes the screen's altitude and velocity bound tests.
+
+    A trajectory pair starts at its initial state: every finite quintic
+    samples exactly (p0, v0) at t = 0, and a non-finite one gets NaN lifts
+    there.  So when the start state fails this test, every pair leaving it
+    fails the screen at its first sample.
+    """
+    bad_alt, bad_vel = _state_violations(z, dy, dz, c)
+    return not (bad_alt or bad_vel)
+
+
+_FIELDS = ("c1", "c2", "c3", "p0", "v0", "a0")
+
+
+def _pair_row(traj_y: AxisTrajectory, traj_z: AxisTrajectory) -> AxisTrajectory:
+    """One (y, z) trajectory pair as a stacked pair with a single row."""
+    if np.any(traj_y.T != traj_z.T):
+        raise ValueError("trajectory pair must share one horizon")
+    return AxisTrajectory(
+        *(np.array([getattr(traj_y, f), getattr(traj_z, f)], dtype=float).reshape(2, 1, 1)
+          for f in _FIELDS),
+        T=np.array([[traj_y.T]], dtype=float))
+
+
+def _screen(pair: AxisTrajectory, c: Constraints, params: QuadParams):
+    """Sample stacked trajectory pairs and test every sample against the limits.
+
+    pair holds one (y, z) quintic pair per row: its coefficient and initial
+    state fields stack the y axis over the z axis on a leading axis of 2,
+    over an (n, 1) horizon column, so one eval samples both axes of every
+    row.  Row i is sampled at n_samples instants on [0, T[i]].  Returns the
+    (n, n_samples) sample instants, the sampled altitude and velocities, the
+    lifts and the altitude, velocity, first-lift and any-lift violation
+    masks.  A sample sitting exactly on a state bound counts as a violation;
+    a free-fall sample has NaN lifts, which fail the lift band.
+    """
+    ts = np.linspace(0.0, pair.T[:, 0], c.n_samples, axis=1)
+    (_, pz), (vy, vz), (ay, az), (jy, jz), (sy, sz) = pair.eval(ts)
+    f1, f2 = flat_to_lifts(ay, az, jy, jz, sy, sz, params)
+    bad_alt, bad_vel = _state_violations(pz, vy, vz, c)
     bad_f1 = ~((f1 >= 0.0) & (f1 <= c.F_max))
     bad_lift = bad_f1 | ~((f2 >= 0.0) & (f2 <= c.F_max))
     return ts, (pz, vy, vz, f1, f2), (bad_alt, bad_vel, bad_f1, bad_lift)
@@ -170,14 +199,15 @@ def check_feasible(
     violation.  The earliest offending sample wins, with altitude checked
     before velocity before lift at equal times.  A free-fall singularity at a
     sample is reported as a lift violation there with value NaN
-    (conservative rejection).
+    (conservative rejection).  The pair is screened as a one-row batch, by
+    the kernel feasible_rows uses.
     """
     ts, (pz, vy, vz, f1, f2), (bad_alt, bad_vel, bad_f1, bad_lift) = _screen(
-        traj_y, traj_z, c, params)
-    bad_any = bad_alt | bad_vel | bad_lift
+        _pair_row(traj_y, traj_z), c, params)
+    bad_any = (bad_alt | bad_vel | bad_lift)[0]
     if not bad_any.any():
         return FeasibilityResult(True)
-    i = int(np.argmax(bad_any))
+    i = (0, int(np.argmax(bad_any)))
     t_bad = float(ts[i])
     if bad_alt[i]:
         return FeasibilityResult(False, ALTITUDE, t_bad, float(pz[i]))
@@ -188,18 +218,14 @@ def check_feasible(
     return FeasibilityResult(False, LIFT, t_bad, float(f_bad))
 
 
-def feasible_rows(
-    traj_y: AxisTrajectory,
-    traj_z: AxisTrajectory,
-    c: Constraints,
-    params: QuadParams,
-) -> np.ndarray:
+def feasible_rows(pair: AxisTrajectory, c: Constraints, params: QuadParams) -> np.ndarray:
     """Screen a batch of trajectory pairs at once, one verdict per row.
 
-    The trajectories hold one quintic per row, with (n, 1) horizon and
-    coefficient columns as solve_axis returns for a column of horizons.
-    Row i's verdict equals bool(check_feasible(...)) on that row's pair: the
-    same samples, the same lifts and the same bound tests.
+    pair stacks the y quintics over the z quintics on a leading axis of 2,
+    one pair per row of an (n, 1) horizon column, as solve_axis returns for
+    stacked boundaries.  Row i's verdict equals bool(check_feasible(...)) on
+    that row's pair: the same samples, the same lifts and the same bound
+    tests.
     """
-    _, _, (bad_alt, bad_vel, _, bad_lift) = _screen(traj_y, traj_z, c, params)
+    _, _, (bad_alt, bad_vel, _, bad_lift) = _screen(pair, c, params)
     return ~(bad_alt | bad_vel | bad_lift).any(axis=1)

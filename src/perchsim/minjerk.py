@@ -3,7 +3,8 @@
 Fixing position, velocity and acceleration at both ends of a horizon T and
 minimizing the integral of squared jerk yields a quintic whose three free
 coefficients follow from the boundary mismatch in closed form.  Both motion
-axes use this solver independently and share one T.
+axes use this solver independently and share one T; the solver and the
+evaluator work elementwise, so both axes can also go through one call.
 """
 
 from __future__ import annotations
@@ -57,7 +58,10 @@ class AxisTrajectory:
         t is a scalar (float or int) or an array of instants.  The fields may
         also be (n, 1) columns, one row per horizon, as solve_axis returns
         for a column T; t is then an (n, m) array of instants whose row i
-        lies in [0, T[i]], and the outputs broadcast to (n, m).
+        lies in [0, T[i]], and the outputs broadcast to (n, m).  Fields that
+        stack several axes in front of those columns, such as the (2, n, 1)
+        y-over-z stacks of a trajectory pair, give (2, n, m) outputs from
+        the same elementwise arithmetic.
 
         Raises:
             OutOfDomainError: t (or any of its instants) is outside [0, T].
@@ -88,7 +92,9 @@ def solve_axis(b: AxisBoundary, T) -> AxisTrajectory:
 
     T may be an (n, 1) column of horizons, with boundary fields that are
     floats or columns of the same length; the coefficients are then (n, 1)
-    columns and the trajectory holds one quintic per row.
+    columns and the trajectory holds one quintic per row.  Boundary fields
+    of shape (2, n, 1), the y axis stacked over the z axis, solve both axes
+    of every row in one call; each entry equals the float solve bit for bit.
 
     Raises:
         InvalidHorizonError: T (or any of its rows) <= 0 or not finite.

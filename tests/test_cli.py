@@ -108,8 +108,11 @@ def test_bench_reports_percentiles(quick_scenario, capsys):
     lines = dict(line.split(": ") for line in out.splitlines())
     assert float(lines["p95_ms"]) <= float(lines["p99_ms"]) <= float(lines["max_ms"])
     assert 0.0 <= float(lines["fraction_over_33ms"]) <= 1.0
-    # every cycle screens at least one coarse pass of at least one horizon
-    assert float(lines["probes_per_cycle"]) >= 1.0
+    # a cycle makes at most two array screens, none when its start state is
+    # out of band, and each screen holds at least one row
+    screens = float(lines["screens_per_cycle"])
+    assert 0.0 < screens <= 2.0
+    assert float(lines["probes_per_cycle"]) >= max(1.0, screens)
 
 
 def test_oracle_small_suite(capsys):

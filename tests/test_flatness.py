@@ -17,6 +17,7 @@ from perchsim.flatness import (
     flat_to_attitude,
     flat_to_attitude_rate,
     flat_to_lifts,
+    state_in_band,
 )
 from perchsim.minjerk import AxisBoundary, AxisTrajectory, solve_axis
 
@@ -148,6 +149,22 @@ def test_mismatched_horizons_rejected():
         check_feasible(ty, tz, c, PARAMS)
 
 
+def test_state_in_band_uses_the_screen_bounds():
+    c = Constraints(z_min=1.0, z_max=2.0, v_min=-1.0, v_max=1.0, F_max=10.0)
+    assert state_in_band(1.5, 0.0, 0.0, c)
+    # a value on a bound violates, as in the screen
+    assert not state_in_band(1.0, 0.0, 0.0, c)
+    assert not state_in_band(1.5, 1.0, 0.0, c)
+    assert not state_in_band(1.5, 0.0, -1.0, c)
+    assert not state_in_band(2.5, 0.0, 0.0, c)
+    # NaN breaks no bound here; the screen rejects it through the lifts
+    assert state_in_band(math.nan, 0.0, 0.0, c)
+    # a pair leaving an out-of-band state fails at its first sample
+    ty, tz = _hover_pair(z=1.0)
+    res = check_feasible(ty, tz, c, PARAMS)
+    assert (res.violation, res.t) == (ALTITUDE, 0.0)
+
+
 def test_constraints_validation():
     with pytest.raises(ValueError):
         Constraints(z_min=1.0, z_max=1.0, v_min=-1.0, v_max=1.0, F_max=1.0)
@@ -158,13 +175,14 @@ def test_constraints_validation():
 
 
 def _stack(pairs):
-    """Row-stack scalar trajectory pairs into one pair of (n, 1) columns."""
+    """Row-stack scalar trajectory pairs into one stacked pair: y over z on a
+    leading axis of 2, one row per pair over an (n, 1) horizon column."""
     def col(trajs, field):
         return np.array([getattr(t, field) for t in trajs]).reshape(-1, 1)
-    fields = ("c1", "c2", "c3", "p0", "v0", "a0", "T")
+    fields = ("c1", "c2", "c3", "p0", "v0", "a0")
     ty, tz = zip(*pairs)
-    return (AxisTrajectory(**{f: col(ty, f) for f in fields}),
-            AxisTrajectory(**{f: col(tz, f) for f in fields}))
+    return AxisTrajectory(**{f: np.stack((col(ty, f), col(tz, f))) for f in fields},
+                          T=col(ty, "T"))
 
 
 def test_feasible_rows_match_scalar_screen():
@@ -186,6 +204,6 @@ def test_feasible_rows_match_scalar_screen():
     assert [v.violation for v in verdicts] == [None, ALTITUDE, VELOCITY, LIFT, LIFT, ALTITUDE]
     assert math.isnan(verdicts[4].value)
     assert verdicts[5].value == c.z_min
-    rows = feasible_rows(*_stack(pairs), c, PARAMS)
+    rows = feasible_rows(_stack(pairs), c, PARAMS)
     assert rows.shape == (len(pairs),)
     assert rows.tolist() == [bool(v) for v in verdicts]

@@ -105,6 +105,28 @@ def test_column_horizons_match_rows():
             assert np.array_equal(rows[k][i], expected[k])
 
 
+def test_stacked_axes_match_rows():
+    # y stacked over z on a leading axis of 2: one solve and one eval give
+    # every axis of every row, each bit-equal to its own scalar solve and eval
+    Bz = AxisBoundary(1.2, -0.3, 0.4, 0.9, 0.2, -1.1)
+    Ts = [0.9, 1.3, 2.05]
+    T = np.array(Ts).reshape(-1, 1)
+    stacked = AxisBoundary(*(np.stack((np.full_like(T, getattr(B, f)), np.full_like(T, getattr(Bz, f))))
+                             for f in ("p0", "v0", "a0", "pT", "vT", "aT")))
+    pair = solve_axis(stacked, T)
+    assert pair.c1.shape == (2, 3, 1)
+    out = pair.eval(np.linspace(0.0, T[:, 0], 7, axis=1))
+    assert out[0].shape == (2, 3, 7)
+    for axis, b in enumerate((B, Bz)):
+        for i, Ti in enumerate(Ts):
+            scalar = solve_axis(b, Ti)
+            assert (pair.c1[axis, i, 0], pair.c2[axis, i, 0], pair.c3[axis, i, 0]) == (
+                scalar.c1, scalar.c2, scalar.c3)
+            expected = scalar.eval(np.linspace(0.0, Ti, 7))
+            for k in range(5):
+                assert out[k][axis, i].tobytes() == expected[k].tobytes()
+
+
 def test_column_domain_is_per_row():
     col = solve_axis(B, np.array([[1.0], [2.0]]))
     col.eval(np.array([[0.0, 1.0], [0.0, 2.0]]))

@@ -1,13 +1,21 @@
 """Receding-horizon minimum-time search."""
 
 import math
+import sys
+from dataclasses import replace
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import perchsim.sim
+import perchsim.timesearch
 from perchsim.dynamics import QuadParams
 from perchsim.flatness import Constraints, check_feasible
 from perchsim.minjerk import AxisBoundary, solve_axis
 from perchsim.oracles import brute_force_min_time
+from perchsim.scenarios import load_scenario
+from perchsim.sim import EpisodeTrace, run_episode
 from perchsim.surface import SurfacePrediction
 from perchsim.terminal import default_conditions, get_terminal_states
 from perchsim.timesearch import (
@@ -19,6 +27,7 @@ from perchsim.timesearch import (
     STOPPED,
     FlatState,
     InitializationFailedError,
+    PlanResult,
     SearchState,
     _solve_pair,
     initialize,
@@ -189,9 +198,9 @@ def _reference_plan(T_last, T_e, now, s0, pred, cond, c, params):
     return T, outcome, sT, _solve_pair(s0, sT, T), probes, levels
 
 
-def _assert_plan_matches_reference(T_last, pred, c, now=0.0):
-    ref = _reference_plan(T_last, 0.0, now, S0, pred, COND, c, PARAMS)
-    res = plan(SearchState(T_last, 0.0, lambda: now), S0, pred, COND, c, PARAMS)
+def _assert_plan_matches_reference(T_last, pred, c, now=0.0, s0=S0):
+    ref = _reference_plan(T_last, 0.0, now, s0, pred, COND, c, PARAMS)
+    res = plan(SearchState(T_last, 0.0, lambda: now), s0, pred, COND, c, PARAMS)
     assert (res.T, res.outcome, res.terminal, res.trajectories) == ref[:4]
     assert type(res.T) is float
     return res, ref
@@ -233,3 +242,115 @@ def test_fallback_work_counts_are_pinned():
     res, ref = _assert_plan_matches_reference(0.6, FAR, SLOW, now=0.1)
     assert (res.probes, res.passes) == (ref[4], ref[5])
     assert (res.probes, res.passes) == (74, 4)
+
+
+def test_plan_matches_reference_across_windows():
+    # windows whose first hit sits in the first pass, in a later pass, or
+    # nowhere; no cycle takes more than two array screens
+    for T_last in np.linspace(0.45, 3.5, 23):
+        for pred, c in ((PRED, CONSTR), (FAR, SLOW)):
+            res, ref = _assert_plan_matches_reference(float(T_last), pred, c, now=0.05)
+            assert 1 <= res.screens <= 2
+            if res.outcome == FOUND:
+                assert res.passes == ref[5]
+
+
+def test_speculative_bisection_deep_tree_matches_reference():
+    # the first pass hits at its bottom horizon and the 0.6 s bracket takes
+    # three halvings: the second screen holds the whole three-level tree
+    res, ref = _assert_plan_matches_reference(3.0, PRED, CONSTR)
+    assert res.outcome == FOUND and ref[5] == 1
+    assert ref[4] == 1 + 3
+    assert (res.screens, res.passes, res.probes) == (2, 1, 6 + 7)
+
+
+def test_tight_bracket_takes_one_screen(monkeypatch):
+    # with a tolerance wider than the stride the first pass's hit is final
+    for module in (perchsim.timesearch, sys.modules[__name__]):
+        monkeypatch.setattr(module, "BISECT_TOL", 1.0)
+    res, _ = _assert_plan_matches_reference(2.0, PRED, CONSTR)
+    assert res.outcome == FOUND
+    assert (res.screens, res.passes, res.probes) == (1, 1, 6)
+
+
+def test_speculative_bisection_after_halving_matches_reference():
+    # the first pass is empty and the hit comes in the second, whose 0.1005 s
+    # stride still needs a bisection step; its midpoint was screened along
+    # with the later passes, so the cycle still takes two screens
+    res, ref = _assert_plan_matches_reference(1.005, PRED, CONSTR)
+    assert res.outcome == FOUND and res.passes == ref[5] == 2
+    assert res.screens == 2
+    assert res.T not in perchsim.timesearch._coarse_passes(1.005)[1][1]
+
+
+def test_blocked_screen_matches_reference(monkeypatch):
+    # a screen longer than one block goes through block by block, in order
+    monkeypatch.setattr(perchsim.timesearch, "SCREEN_BLOCK", 4)
+    for T_last in (0.905, 1.005, 3.0):
+        res, _ = _assert_plan_matches_reference(T_last, PRED, CONSTR)
+        assert res.outcome == FOUND and res.probes > 4
+    res, _ = _assert_plan_matches_reference(0.6, FAR, SLOW, now=0.1)
+    assert res.outcome == FALLBACK and res.probes == 74
+    st = initialize(S0, PRED, COND, CONSTR, PARAMS)
+    assert st.T_last == _reference_initialize(S0, PRED, COND, CONSTR, PARAMS)
+
+
+# start states that break the band: every candidate fails at its first sample
+OUT_OF_BAND = {
+    "dy_above_v_max": replace(S0, dy=CONSTR.v_max + 0.5),
+    "dy_on_v_max": replace(S0, dy=CONSTR.v_max),
+    "z_below_z_min": replace(S0, z=CONSTR.z_min - 0.5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OUT_OF_BAND))
+def test_out_of_band_start_falls_back_without_a_screen(name, monkeypatch):
+    s0 = OUT_OF_BAND[name]
+    ref = _reference_plan(0.6, 0.0, 0.1, s0, PRED, COND, CONSTR, PARAMS)
+    assert ref[1] == FALLBACK and ref[4] > 0
+
+    def no_screen(*args):
+        raise AssertionError("screened a cycle whose start state is out of band")
+
+    monkeypatch.setattr(perchsim.timesearch, "feasible_rows", no_screen)
+    res, _ = _assert_plan_matches_reference(0.6, PRED, CONSTR, now=0.1, s0=s0)
+    assert res.outcome == FALLBACK
+    assert (res.probes, res.screens, res.passes) == (0, 0, 0)
+    res, _ = _assert_plan_matches_reference(0.5, PRED, CONSTR, now=0.15, s0=s0)
+    assert res.outcome == STOPPED
+    assert (res.probes, res.screens) == (0, 0)
+
+    with pytest.raises(InitializationFailedError):
+        _reference_initialize(s0, PRED, COND, CONSTR, PARAMS)
+    with pytest.raises(InitializationFailedError):
+        initialize(s0, PRED, COND, CONSTR, PARAMS)
+
+
+# --- the shipped planner inside whole episodes, against the reference
+
+
+def _reference_planner_plan(state, s0, pred, cond, c, params):
+    now = state.clock()
+    T, outcome, sT, trajs, probes, passes = _reference_plan(
+        state.T_last, state.T_e, now, s0, pred, cond, c, params)
+    state.T_last, state.T_e = T, now
+    return PlanResult(T=T, outcome=outcome, terminal=sT, trajectories=trajs,
+                      solve_time=0.0, probes=probes, passes=passes)
+
+
+def _reference_planner_initialize(s0, pred, cond, c, params, clock, step, cap):
+    T = _reference_initialize(s0, pred, cond, c, params, step=step, cap=cap)
+    return SearchState(T_last=T, T_e=clock(), clock=clock)
+
+
+@pytest.mark.parametrize("name", ["static_47.ini", "moving_90_forward.ini"])
+def test_episode_trace_matches_reference_planner(name, monkeypatch):
+    path = Path(__file__).resolve().parent.parent / "scenarios" / name
+    sc = replace(load_scenario(str(path)), seed=0)
+    shipped = run_episode(sc)
+    monkeypatch.setattr(perchsim.sim.timesearch, "plan", _reference_planner_plan)
+    monkeypatch.setattr(perchsim.sim.timesearch, "initialize", _reference_planner_initialize)
+    ref = run_episode(sc)
+    assert len(shipped.plans) == len(ref.plans) > 0
+    for col in EpisodeTrace.COLUMNS:
+        assert getattr(shipped.trace, col).tobytes() == getattr(ref.trace, col).tobytes(), col
