@@ -12,6 +12,7 @@ import csv
 import math
 import statistics
 import sys
+import time
 from pathlib import Path
 from typing import List, Optional
 
@@ -47,6 +48,8 @@ def _episode_summary(res: EpisodeResult) -> List[str]:
             f"impact_dV_Ys: {res.impact_dV_Ys:.4f}",
             f"impact_dV_Zs: {res.impact_dV_Zs:.4f}",
             f"impact_nu_s: {res.impact_nu_s:.4f}",
+            f"impact_cup: {res.impact_cup}",
+            f"impact_cup_residual_deg: {math.degrees(res.impact_cup_residual):.2f}",
         ]
     if res.solve_times:
         ms = [1e3 * s for s in res.solve_times]
@@ -122,7 +125,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
     if args.n < 1:
         raise ScenarioError(f"--n must be at least 1, got {args.n}")
     sc = _load(args.scenario, args.seed)
+    t0 = time.perf_counter()
     res = run_batch(sc, args.n)
+    wall_s = time.perf_counter() - t0
     ms = sorted(1e3 * s for s in res.solve_times)
     if not ms:
         raise ScenarioError("no planner invocations happened; nothing to report")
@@ -139,6 +144,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
     print(f"fraction_over_33ms: {over:.3f}")
     print(f"probes_per_cycle: {statistics.fmean(r.probes for r in cycles):.2f}")
     print(f"screens_per_cycle: {statistics.fmean(r.screens for r in cycles):.2f}")
+    # harness cost: everything an episode does besides the planner's cycles
+    ticks = sum(e.trace.t.size for e in res.episodes)
+    print(f"episode_ms_mean: {1e3 * wall_s / res.n:.3f}")
+    print(f"tick_us_excl_plan: {1e6 * (wall_s - sum(res.solve_times)) / ticks:.2f}")
     return 0
 
 

@@ -132,6 +132,23 @@ def rk4_step(
 _DIVERGE_LIMIT = 1e6
 
 
+def step_schedule(t0: float, t1: float, dt: float) -> List[Tuple[float, float]]:
+    """(start, length) of every step integrate takes from t0 to t1.
+
+    Steps are dt long except the last, which is shortened to land exactly
+    on t1; each start is the previous start plus the previous length.
+    rk4_step samples its command at start, start + length/2 and start +
+    length of each.
+    """
+    steps: List[Tuple[float, float]] = []
+    t = t0
+    while t < t1 - 1e-12:
+        step = min(dt, t1 - t)
+        steps.append((t, step))
+        t += step
+    return steps
+
+
 def integrate(
     state: QuadState,
     cmd_at: Callable[[float], RotorCommand],
@@ -162,10 +179,8 @@ def integrate(
     if dt <= 0:
         raise ValueError("dt must be positive")
     history: List[Tuple[float, QuadState]] = []
-    t = t0
     s = state
-    while t < t1 - 1e-12:
-        step = min(dt, t1 - t)
+    for t, step in step_schedule(t0, t1, dt):
         s = rk4_step(s, cmd_at, t, step, params)
         t += step
         if abs(s.y) > _DIVERGE_LIMIT or abs(s.z) > _DIVERGE_LIMIT or abs(s.dy) > _DIVERGE_LIMIT:

@@ -22,9 +22,10 @@ from .controller import (
     acceleration_to_attitude_thrust,
     attitude_pd_lifts,
 )
-from .dynamics import QuadParams, QuadState, rk4_step
+# nothing here calls rk4_step; perfbench/tracing.py rebinds it by this name
+from .dynamics import QuadParams, QuadState, rk4_step  # noqa: F401
 from .flatness import Constraints
-from .gripper import GripperGeometry, PerchEnvelope, judge_perch
+from .gripper import GripperGeometry, PerchEnvelope, judge_perch, select_cup
 from .minjerk import AxisTrajectory
 from .surface import SurfaceSample, SurfaceTrack, fit
 from .terminal import PerchConditions
@@ -144,9 +145,12 @@ class PlanRecord:
 class EpisodeResult:
     """Outcome and full logs of one episode.
 
-    Impact fields are None unless contact occurred.  solve_times mirrors the
-    planner call sequence; wall-clock solve times are excluded from the
-    determinism guarantee, everything else reproduces bit-for-bit per seed.
+    Impact fields are None unless contact occurred.  impact_cup is the
+    engaged cup of the wheel (select_cup: -1, 0, +1 for lower, center,
+    upper) and impact_cup_residual the attitude error left for it to absorb.
+    solve_times mirrors the planner call sequence; wall-clock solve times
+    are excluded from the determinism guarantee, everything else reproduces
+    bit-for-bit per seed.
     """
 
     success: bool
@@ -156,6 +160,8 @@ class EpisodeResult:
     impact_dV_Ys: Optional[float]
     impact_dV_Zs: Optional[float]
     impact_nu_s: Optional[float]
+    impact_cup: Optional[int]
+    impact_cup_residual: Optional[float]
     solve_times: List[float]
     trace: EpisodeTrace
     plans: List[PlanRecord]
@@ -182,18 +188,89 @@ class BatchResult:
         return float((arr < threshold).mean())
 
 
-def _wheel_gap(state: QuadState, sc: Scenario, y_s: float, z_s: float) -> float:
-    """Signed distance from the wheel circle to the surface plane.
+def _fly_period(
+    state: QuadState, att: AttitudeThrustCmd, sc: Scenario, t: float, dt: float,
+) -> Tuple[QuadState, Optional[Tuple[float, float]]]:
+    """Fly one control period of sc.substeps physics steps under a held command.
 
-    The wheel center hangs d_l below the body center along the body -z axis;
-    the surface plane passes through the truth reference point with normal
-    (-sin phi_s, cos phi_s).  Nonpositive gap means contact.
+    Each substep realizes att as pair lifts through the roll PD loop and the
+    clamp of attitude_pd_lifts, takes one constant-command step in the exact
+    operation order of dynamics.rk4_step, and tests the wheel against the
+    truth surface plane.  The wheel center hangs d_l below the body center
+    along the body -z axis; the plane passes through the surface reference
+    point with normal (-sin phi_s, cos phi_s); a nonpositive gap between
+    plane and wheel circle is contact.
+
+    The period runs on local floats because it is the plant's hot path;
+    tests hold it bit-equal to the per-substep composition of
+    attitude_pd_lifts, rk4_step and SurfaceMotion.state.
+
+    Returns:
+        (state at the end of the period, or at contact; None, or the
+        contact time and the truth surface speed dy_s there).
     """
-    wy = state.y + sc.d_l * math.sin(state.phi)
-    wz = state.z - sc.d_l * math.cos(state.phi)
+    p = sc.params
+    m, g, F_max = p.m, p.g, p.F_max
+    dsj = p.d_s / p.J
+    jds = p.J / p.d_s
+    k_p, k_d = sc.k_p_phi, sc.k_d_phi
+    f, phi_c = att.f, att.phi
+    d_l, r_w, z_s = sc.d_l, sc.gripper.r_w, sc.surface_z0
     n_y = -math.sin(sc.phi_s)
     n_z = math.cos(sc.phi_s)
-    return (wy - y_s) * n_y + (wz - z_s) * n_z - sc.gripper.r_w
+    motion, y0 = sc.motion, sc.surface_y0
+    moving = motion.kind != "static"
+    y_s, dy_s = motion.state(t, y0)
+    h = 0.5 * dt
+    s = dt / 6.0
+    sin, cos = math.sin, math.cos
+
+    y, z, dy, dz, phi, dphi = state.as_tuple()
+    sp, cp = sin(phi), cos(phi)
+    for i in range(sc.substeps):
+        diff = jds * (k_p * (phi_c - phi) - k_d * dphi)
+        F1 = 0.5 * (f + diff)
+        F2 = 0.5 * (f - diff)
+        # min(max(F, 0.0), F_max) with the same result for -0.0 and NaN
+        if F1 < 0.0:
+            F1 = 0.0
+        if F1 > F_max:
+            F1 = F_max
+        if F2 < 0.0:
+            F2 = 0.0
+        if F2 > F_max:
+            F2 = F_max
+
+        # RK4 stages k1..k4 under the constant lifts; the roll acceleration
+        # and the total lift are the same at every stage
+        total = F1 + F2
+        ddphi = (F1 - F2) * dsj
+        a1y = -total * sp / m
+        a1z = total * cp / m - g
+        w2 = dphi + h * ddphi
+        phi2 = phi + h * dphi
+        a2y = -total * sin(phi2) / m
+        a2z = total * cos(phi2) / m - g
+        phi3 = phi + h * w2
+        a3y = -total * sin(phi3) / m
+        a3z = total * cos(phi3) / m - g
+        phi4 = phi + dt * w2
+        a4y = -total * sin(phi4) / m
+        a4z = total * cos(phi4) / m - g
+        y = y + s * (dy + 2.0 * (dy + h * a1y) + 2.0 * (dy + h * a2y) + (dy + dt * a3y))
+        z = z + s * (dz + 2.0 * (dz + h * a1z) + 2.0 * (dz + h * a2z) + (dz + dt * a3z))
+        dy = dy + s * (a1y + 2.0 * a2y + 2.0 * a3y + a4y)
+        dz = dz + s * (a1z + 2.0 * a2z + 2.0 * a3z + a4z)
+        phi = phi + s * (dphi + 2.0 * w2 + 2.0 * w2 + (dphi + dt * ddphi))
+        dphi = dphi + s * (ddphi + 2.0 * ddphi + 2.0 * ddphi + ddphi)
+
+        sp, cp = sin(phi), cos(phi)
+        t_end = t + i * dt + dt
+        if moving:
+            y_s, dy_s = motion.state(t_end, y0)
+        if (y + d_l * sp - y_s) * n_y + (z - d_l * cp - z_s) * n_z - r_w <= 0.0:
+            return QuadState(y, z, dy, dz, phi, dphi), (t_end, dy_s)
+    return QuadState(y, z, dy, dz, phi, dphi), None
 
 
 def run_episode(sc: Scenario) -> EpisodeResult:
@@ -219,7 +296,7 @@ def run_episode(sc: Scenario) -> EpisodeResult:
     solve_times: List[float] = []
     plans: List[PlanRecord] = []
 
-    impact: Optional[Tuple[float, QuadState, float, float]] = None  # (t, state, y_s, dy_s)
+    impact: Optional[Tuple[float, float]] = None  # (t, dy_s)
 
     n_ticks = int(round(sc.timeout / control_dt))
     for k in range(n_ticks):
@@ -314,15 +391,7 @@ def run_episode(sc: Scenario) -> EpisodeResult:
             cmd[0], cmd[1], phase, plan_T, float(plan_code),
         ])
 
-        for i in range(sc.substeps):
-            t_sub = t + i * dt
-            if i:
-                applied = attitude_pd_lifts(att, state.phi, state.dphi, params, sc.k_p_phi, sc.k_d_phi)
-            state = rk4_step(state, lambda _t: applied, t_sub, dt, params)
-            y_s_sub, dy_s_sub = sc.motion.state(t_sub + dt, sc.surface_y0)
-            if _wheel_gap(state, sc, y_s_sub, sc.surface_z0) <= 0.0:
-                impact = (t_sub + dt, state, y_s_sub, dy_s_sub)
-                break
+        state, impact = _fly_period(state, att, sc, t, dt)
         if impact is not None:
             break
 
@@ -332,20 +401,23 @@ def run_episode(sc: Scenario) -> EpisodeResult:
         return EpisodeResult(
             success=False, failure=NO_CONTACT, impact_t=None, impact_phi_e=None,
             impact_dV_Ys=None, impact_dV_Zs=None, impact_nu_s=None,
+            impact_cup=None, impact_cup_residual=None,
             solve_times=solve_times, trace=trace, plans=plans)
 
-    t_imp, s_imp, y_s_imp, dy_s_imp = impact
-    phi_e = s_imp.phi - sc.phi_s
+    t_imp, dy_s_imp = impact
+    phi_e = state.phi - sc.phi_s
     tx, tz_ = math.cos(sc.phi_s), math.sin(sc.phi_s)
     nx, nz = -math.sin(sc.phi_s), math.cos(sc.phi_s)
-    rel_y = s_imp.dy - dy_s_imp
-    rel_z = s_imp.dz
+    rel_y = state.dy - dy_s_imp
+    rel_z = state.dz
     dV_Ys = rel_y * tx + rel_z * tz_
     dV_Zs = rel_y * nx + rel_z * nz
     ok, kind = judge_perch(phi_e, dV_Ys, dV_Zs, sc.envelope)
+    cup, cup_residual = select_cup(dV_Ys, phi_e, sc.gripper.alpha_w)
     return EpisodeResult(
         success=ok, failure=kind, impact_t=t_imp, impact_phi_e=phi_e,
         impact_dV_Ys=dV_Ys, impact_dV_Zs=dV_Zs, impact_nu_s=dy_s_imp,
+        impact_cup=cup, impact_cup_residual=cup_residual,
         solve_times=solve_times, trace=trace, plans=plans)
 
 

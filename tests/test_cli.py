@@ -39,6 +39,7 @@ def test_run_writes_trace_and_summary(quick_scenario, tmp_path, capsys):
     summary = (out / "summary.txt").read_text()
     assert "success: True" in summary
     assert "impact_t:" in summary
+    assert "impact_cup:" in summary and "impact_cup_residual_deg:" in summary
     assert "success: True" in capsys.readouterr().out
 
 
@@ -113,6 +114,8 @@ def test_bench_reports_percentiles(quick_scenario, capsys):
     screens = float(lines["screens_per_cycle"])
     assert 0.0 < screens <= 2.0
     assert float(lines["probes_per_cycle"]) >= max(1.0, screens)
+    assert float(lines["episode_ms_mean"]) > 0.0
+    assert float(lines["tick_us_excl_plan"]) > 0.0
 
 
 def test_oracle_small_suite(capsys):

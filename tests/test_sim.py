@@ -7,22 +7,24 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from perchsim.dynamics import QuadState
-from perchsim.gripper import A_FAILURE, PerchEnvelope
+import perchsim.sim
+from perchsim.controller import AttitudeThrustCmd, attitude_pd_lifts
+from perchsim.dynamics import QuadState, rk4_step
+from perchsim.gripper import A_FAILURE, PerchEnvelope, select_cup
 from perchsim.scenarios import load_scenario
 from perchsim.sim import (
     NO_CONTACT,
     EpisodeTrace,
     SurfaceMotion,
-    _wheel_gap,
+    _fly_period,
     run_batch,
     run_episode,
 )
 
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+
 # short timeout keeps the suite quick; this setup makes contact around 1.4 s
-SC = replace(
-    load_scenario(str(Path(__file__).resolve().parent.parent / "scenarios" / "static_47.ini")),
-    timeout=3.0)
+SC = replace(load_scenario(str(SCENARIOS / "static_47.ini")), timeout=3.0)
 
 
 def _traces_equal(a: EpisodeTrace, b: EpisodeTrace) -> bool:
@@ -99,6 +101,7 @@ def test_timeout_reports_no_contact():
     assert res.failure == NO_CONTACT
     assert res.impact_t is None
     assert res.impact_phi_e is None
+    assert res.impact_cup is None and res.impact_cup_residual is None
     assert res.trace.t.size == 15               # 0.5 s at 30 Hz
 
 
@@ -115,13 +118,34 @@ def test_batch_offsets_seeds_and_aggregates():
         run_batch(SC, 0)
 
 
+def _touches(sc, st, y_s, z_s):
+    """_fly_period's contact decision for st against a static plane through
+    (y_s, z_s), over one 1 ns substep that moves the vehicle by < 1e-17 m."""
+    sc = replace(sc, motion=SurfaceMotion(), surface_y0=y_s, surface_z0=z_s, substeps=1)
+    att = AttitudeThrustCmd(sc.params.m * sc.params.g, st.phi)
+    return _fly_period(st, att, sc, 0.0, 1e-9)[1] is not None
+
+
+def _assert_gap(sc, st, y_s, z_s, gap, tol):
+    """The kernel sees st's wheel gap off the plane to within tol: moved
+    toward the plane along its normal by gap - tol the wheel still clears
+    it, moved by gap + tol it touches."""
+    n_y, n_z = -math.sin(sc.phi_s), math.cos(sc.phi_s)
+
+    def moved(d):
+        return replace(st, y=st.y - d * n_y, z=st.z - d * n_z)
+
+    assert not _touches(sc, moved(gap - tol), y_s, z_s)
+    assert _touches(sc, moved(gap + tol), y_s, z_s)
+
+
 def test_wheel_gap_level_surface():
     sc = replace(SC, phi_s=0.0)
     z_s = 1.0
     st = QuadState(y=0.0, z=z_s + sc.d_l + sc.gripper.r_w + 0.05)
-    assert _wheel_gap(st, sc, 2.2, z_s) == pytest.approx(0.05, abs=1e-12)
+    _assert_gap(sc, st, 2.2, z_s, 0.05, 1e-12)
     st2 = QuadState(y=0.0, z=z_s + sc.d_l + sc.gripper.r_w)
-    assert _wheel_gap(st2, sc, 2.2, z_s) == pytest.approx(0.0, abs=1e-12)
+    _assert_gap(sc, st2, 2.2, z_s, 0.0, 1e-12)
 
 
 def test_wheel_gap_vertical_surface():
@@ -129,10 +153,121 @@ def test_wheel_gap_vertical_surface():
     y_s = 2.2
     # at zero roll the mount offset hangs straight down, off the normal axis
     st = QuadState(y=y_s - sc.gripper.r_w - 0.03, z=1.0)
-    assert _wheel_gap(st, sc, y_s, 1.0) == pytest.approx(0.03, abs=1e-12)
+    _assert_gap(sc, st, y_s, 1.0, 0.03, 1e-12)
     # rolled to the surface attitude the offset points along -normal
     st3 = QuadState(y=y_s - sc.gripper.r_w - sc.d_l, z=1.0, phi=math.pi / 2.0)
-    assert _wheel_gap(st3, sc, y_s, 1.0) == pytest.approx(0.0, abs=1e-9)
+    _assert_gap(sc, st3, y_s, 1.0, 0.0, 1e-9)
+
+
+def _reference_gap(state, sc, y_s, z_s):
+    # signed distance from the wheel circle to the surface plane
+    wy = state.y + sc.d_l * math.sin(state.phi)
+    wz = state.z - sc.d_l * math.cos(state.phi)
+    n_y = -math.sin(sc.phi_s)
+    n_z = math.cos(sc.phi_s)
+    return (wy - y_s) * n_y + (wz - z_s) * n_z - sc.gripper.r_w
+
+
+def _reference_fly_period(state, att, sc, t, dt):
+    """The per-substep composition that _fly_period inlines."""
+    for i in range(sc.substeps):
+        t_sub = t + i * dt
+        applied = attitude_pd_lifts(att, state.phi, state.dphi, sc.params, sc.k_p_phi, sc.k_d_phi)
+        state = rk4_step(state, lambda _t, c=applied: c, t_sub, dt, sc.params)
+        y_s, dy_s = sc.motion.state(t_sub + dt, sc.surface_y0)
+        if _reference_gap(state, sc, y_s, sc.surface_z0) <= 0.0:
+            return state, (t_sub + dt, dy_s)
+    return state, None
+
+
+def _bits(state, impact):
+    return np.array(state.as_tuple() + (impact or ()), dtype=float).tobytes()
+
+
+def _placed_state(sc, t, gap, v_n, rng):
+    """Random state whose wheel sits gap off the surface plane at time t,
+    closing on it at normal speed v_n."""
+    n_y, n_z = -math.sin(sc.phi_s), math.cos(sc.phi_s)
+    y_s, dy_s = sc.motion.state(t, sc.surface_y0)
+    u, v_t = rng.uniform(-0.2, 0.2), rng.uniform(-1.0, 1.0)
+    phi = rng.uniform(-0.3, 1.8)
+    wy = y_s + (gap + sc.gripper.r_w) * n_y + u * n_z
+    wz = sc.surface_z0 + (gap + sc.gripper.r_w) * n_z - u * n_y
+    return QuadState(
+        y=wy - sc.d_l * math.sin(phi), z=wz + sc.d_l * math.cos(phi),
+        dy=dy_s - v_n * n_y + v_t * n_z, dz=-v_n * n_z - v_t * n_y,
+        phi=phi, dphi=rng.uniform(-3.0, 3.0))
+
+
+#: one ramp profile per direction; t_ramp = 1 s
+MOTIONS = {
+    "static": SurfaceMotion(),
+    "forward": SurfaceMotion(kind="ramp", v_target=1.0, accel=1.0, direction="forward"),
+    "backward": SurfaceMotion(kind="ramp", v_target=1.0, accel=1.0, direction="backward"),
+}
+#: (wheel gap at the period start, closing speed): contact at the first
+#: substep, contact mid-period at 33 substeps, no contact
+PLACEMENTS = ((-0.005, 0.5), (0.012, 1.0), (0.3, 0.0))
+
+
+def _commands(state, F_max, rng):
+    """(command, state) pairs whose lifts clamp at 0 and at F_max, sit exactly
+    on 0 and on F_max at the first substep, or fall inside the band."""
+    level = replace(state, dphi=0.0)
+    return [
+        (AttitudeThrustCmd(rng.uniform(0.2, 1.8) * F_max, rng.uniform(-0.5, 2.0)), state),
+        (AttitudeThrustCmd(3.0 * F_max, rng.uniform(-0.5, 2.0)), state),
+        (AttitudeThrustCmd(-F_max, rng.uniform(-0.5, 2.0)), state),
+        (AttitudeThrustCmd(2.0 * F_max, level.phi), level),
+        (AttitudeThrustCmd(0.0, level.phi), level),
+    ]
+
+
+@pytest.mark.parametrize("substeps", [1, 33])
+@pytest.mark.parametrize("motion", list(MOTIONS))
+def test_fly_period_matches_reference_substeps(motion, substeps):
+    sc = replace(SC, motion=MOTIONS[motion], substeps=substeps)
+    dt = 1.0 / sc.control_rate / substeps
+    F_max = sc.params.F_max
+    rng = np.random.default_rng(substeps)
+    contact_at = set()
+    lifts = set()
+    # periods before, across and after the end of the ramp
+    for t in (0.3, 1.0 - 10 * dt, 1.5):
+        for gap, v_n in PLACEMENTS:
+            for _ in range(4):
+                placed = _placed_state(sc, t, gap, v_n, rng)
+                for att, st in _commands(placed, F_max, rng):
+                    got = _fly_period(st, att, sc, t, dt)
+                    want = _reference_fly_period(st, att, sc, t, dt)
+                    assert _bits(*got) == _bits(*want), (t, gap, att, st)
+                    impact = got[1]
+                    contact_at.add(None if impact is None else round((impact[0] - t) / dt) - 1)
+                    first = attitude_pd_lifts(att, st.phi, st.dphi, sc.params, sc.k_p_phi, sc.k_d_phi)
+                    lifts.update((first.F1, first.F2))
+    assert {None, 0} <= contact_at
+    if substeps > 1:
+        assert any(i is not None and 0 < i < substeps - 1 for i in contact_at)
+    assert {0.0, F_max} <= lifts
+
+
+@pytest.mark.parametrize("name", ["static_47.ini", "moving_90_forward.ini"])
+def test_episode_trace_matches_reference_substeps(name, monkeypatch):
+    sc = replace(load_scenario(str(SCENARIOS / name)), seed=0)
+    shipped = run_episode(sc)
+    monkeypatch.setattr(perchsim.sim, "_fly_period", _reference_fly_period)
+    ref = run_episode(sc)
+    assert shipped.impact_t is not None
+    for col in EpisodeTrace.COLUMNS:
+        assert getattr(shipped.trace, col).tobytes() == getattr(ref.trace, col).tobytes(), col
+    for field in ("impact_t", "impact_phi_e", "impact_dV_Ys", "impact_dV_Zs", "impact_nu_s"):
+        assert getattr(shipped, field) == getattr(ref, field), field
+
+
+def test_impact_records_the_engaged_cup():
+    res = run_episode(SC)
+    cup = select_cup(res.impact_dV_Ys, res.impact_phi_e, SC.gripper.alpha_w)
+    assert (res.impact_cup, res.impact_cup_residual) == cup
 
 
 def test_surface_motion_profiles():
