@@ -82,7 +82,8 @@ def cmd_batch(args: argparse.Namespace) -> int:
     with open(out / "episodes.csv", "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["seed", "success", "failure", "impact_t",
-                    "impact_phi_e_deg", "impact_dV_Ys", "impact_dV_Zs", "impact_nu_s"])
+                    "impact_phi_e_deg", "impact_dV_Ys", "impact_dV_Zs", "impact_nu_s",
+                    "impact_cup", "impact_cup_residual_deg"])
         for k, e in enumerate(res.episodes):
             w.writerow([
                 sc.seed + k, int(e.success), e.failure or "",
@@ -91,6 +92,9 @@ def cmd_batch(args: argparse.Namespace) -> int:
                 "" if e.impact_dV_Ys is None else f"{e.impact_dV_Ys:.4f}",
                 "" if e.impact_dV_Zs is None else f"{e.impact_dV_Zs:.4f}",
                 "" if e.impact_nu_s is None else f"{e.impact_nu_s:.4f}",
+                "" if e.impact_cup is None else e.impact_cup,
+                "" if e.impact_cup_residual is None
+                else f"{math.degrees(e.impact_cup_residual):.2f}",
             ])
 
     n_ok = sum(e.success for e in res.episodes)
@@ -143,6 +147,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     print(f"fraction_under_10ms: {frac:.3f}")
     print(f"fraction_over_33ms: {over:.3f}")
     print(f"probes_per_cycle: {statistics.fmean(r.probes for r in cycles):.2f}")
+    print(f"lift_rows_per_cycle: {statistics.fmean(r.lift_rows for r in cycles):.2f}")
     print(f"screens_per_cycle: {statistics.fmean(r.screens for r in cycles):.2f}")
     # harness cost: everything an episode does besides the planner's cycles
     ticks = sum(e.trace.t.size for e in res.episodes)

@@ -9,14 +9,14 @@ with no integration in the loop.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 import math
 
 import numpy as np
 
 from .dynamics import QuadParams
-from .minjerk import AxisTrajectory
+from .minjerk import QUINTIC_FIELDS, AxisTrajectory
 
 #: violation kinds reported by check_feasible
 ALTITUDE = "altitude"
@@ -152,38 +152,46 @@ def state_in_band(z: float, dy: float, dz: float, c: Constraints) -> bool:
     return not (bad_alt or bad_vel)
 
 
-_FIELDS = ("c1", "c2", "c3", "p0", "v0", "a0")
-
-
 def _pair_row(traj_y: AxisTrajectory, traj_z: AxisTrajectory) -> AxisTrajectory:
     """One (y, z) trajectory pair as a stacked pair with a single row."""
     if np.any(traj_y.T != traj_z.T):
         raise ValueError("trajectory pair must share one horizon")
     return AxisTrajectory(
         *(np.array([getattr(traj_y, f), getattr(traj_z, f)], dtype=float).reshape(2, 1, 1)
-          for f in _FIELDS),
+          for f in QUINTIC_FIELDS),
         T=np.array([[traj_y.T]], dtype=float))
 
 
-def _screen(pair: AxisTrajectory, c: Constraints, params: QuadParams):
-    """Sample stacked trajectory pairs and test every sample against the limits.
+def sample_instants(T: np.ndarray, n: int) -> np.ndarray:
+    """n uniform instants on [0, T[i]] for each row of a (k, 1) horizon column.
 
-    pair holds one (y, z) quintic pair per row: its coefficient and initial
-    state fields stack the y axis over the z axis on a leading axis of 2,
-    over an (n, 1) horizon column, so one eval samples both axes of every
-    row.  Row i is sampled at n_samples instants on [0, T[i]].  Returns the
-    (n, n_samples) sample instants, the sampled altitude and velocities, the
-    lifts and the altitude, velocity, first-lift and any-lift violation
-    masks.  A sample sitting exactly on a state bound counts as a violation;
-    a free-fall sample has NaN lifts, which fail the lift band.
+    Bit-equal to np.linspace(0.0, T[:, 0], n, axis=1) for positive finite
+    T and n >= 2 (the same k * (T / (n - 1)) products and an exact T in the
+    last column), without linspace's general-purpose overhead, which
+    dominates the small screens of a FOUND cycle.
     """
-    ts = np.linspace(0.0, pair.T[:, 0], c.n_samples, axis=1)
-    (_, pz), (vy, vz), (ay, az), (jy, jz), (sy, sz) = pair.eval(ts)
-    f1, f2 = flat_to_lifts(ay, az, jy, jz, sy, sz, params)
+    ts = np.arange(n, dtype=float) * (T / (n - 1))
+    ts[:, -1] = T[:, 0]
+    return ts
+
+
+def _sample_states(pair: AxisTrajectory, ts: np.ndarray, c: Constraints):
+    """Stage 1 of the screen: altitude and velocities at every sample, and
+    their altitude and velocity violation masks."""
+    (_, pz), (vy, vz) = pair.eval_state(ts)
     bad_alt, bad_vel = _state_violations(pz, vy, vz, c)
+    return (pz, vy, vz), bad_alt, bad_vel
+
+
+def _sample_lifts(pair: AxisTrajectory, ts: np.ndarray, c: Constraints, params: QuadParams):
+    """Stage 2 of the screen: pair lifts at every sample from acceleration,
+    jerk and snap, and the first-lift and any-lift violation masks.  A
+    free-fall sample has NaN lifts, which fail the lift band."""
+    (ay, az), (jy, jz), (sy, sz) = pair.eval_derivs(ts)
+    f1, f2 = flat_to_lifts(ay, az, jy, jz, sy, sz, params)
     bad_f1 = ~((f1 >= 0.0) & (f1 <= c.F_max))
     bad_lift = bad_f1 | ~((f2 >= 0.0) & (f2 <= c.F_max))
-    return ts, (pz, vy, vz, f1, f2), (bad_alt, bad_vel, bad_f1, bad_lift)
+    return (f1, f2), bad_f1, bad_lift
 
 
 def check_feasible(
@@ -199,11 +207,15 @@ def check_feasible(
     violation.  The earliest offending sample wins, with altitude checked
     before velocity before lift at equal times.  A free-fall singularity at a
     sample is reported as a lift violation there with value NaN
-    (conservative rejection).  The pair is screened as a one-row batch, by
-    the kernel feasible_rows uses.
+    (conservative rejection).  The pair is screened as a one-row batch by
+    both stages of the feasible_rows screen, each over every sample, since a
+    lift violation can come before the first state violation.
     """
-    ts, (pz, vy, vz, f1, f2), (bad_alt, bad_vel, bad_f1, bad_lift) = _screen(
-        _pair_row(traj_y, traj_z), c, params)
+    pair = _pair_row(traj_y, traj_z)
+    ts = sample_instants(pair.T, c.n_samples)
+    pair.check_domain(ts)
+    (pz, vy, vz), bad_alt, bad_vel = _sample_states(pair, ts, c)
+    (f1, f2), bad_f1, bad_lift = _sample_lifts(pair, ts, c, params)
     bad_any = (bad_alt | bad_vel | bad_lift)[0]
     if not bad_any.any():
         return FeasibilityResult(True)
@@ -218,14 +230,30 @@ def check_feasible(
     return FeasibilityResult(False, LIFT, t_bad, float(f_bad))
 
 
-def feasible_rows(pair: AxisTrajectory, c: Constraints, params: QuadParams) -> np.ndarray:
+def feasible_rows(pair: AxisTrajectory, c: Constraints, params: QuadParams) -> Tuple[np.ndarray, int]:
     """Screen a batch of trajectory pairs at once, one verdict per row.
 
     pair stacks the y quintics over the z quintics on a leading axis of 2,
     one pair per row of an (n, 1) horizon column, as solve_axis returns for
-    stacked boundaries.  Row i's verdict equals bool(check_feasible(...)) on
-    that row's pair: the same samples, the same lifts and the same bound
-    tests.
+    stacked boundaries, so one evaluation samples both axes of every row;
+    the sample instants are domain-checked once.  Row i's verdict equals
+    bool(check_feasible(...)) on that row's pair: the same samples, the same
+    lifts and the same bound tests.
+
+    The screen runs in two stages.  Stage 1 samples altitude and velocity on
+    every row and applies the state bounds.  Stage 2 evaluates acceleration,
+    jerk, snap and the lifts only on the rows that pass stage 1, and writes
+    their lift verdicts back by row index.  A row is feasible when it
+    breaks no bound at any sample, so skipping the lifts of a row that
+    already failed changes no verdict.  Returns the verdicts and the number
+    of rows that reached stage 2.
     """
-    _, _, (bad_alt, bad_vel, _, bad_lift) = _screen(pair, c, params)
-    return ~(bad_alt | bad_vel | bad_lift).any(axis=1)
+    ts = sample_instants(pair.T, c.n_samples)
+    pair.check_domain(ts)
+    _, bad_alt, bad_vel = _sample_states(pair, ts, c)
+    ok = ~(bad_alt | bad_vel).any(axis=1)
+    live = np.flatnonzero(ok)
+    if live.size:
+        _, _, bad_lift = _sample_lifts(pair.rows(live), ts[live], c, params)
+        ok[live] = ~bad_lift.any(axis=1)
+    return ok, int(live.size)

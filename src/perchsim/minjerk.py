@@ -14,6 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 
+#: the fields of an AxisTrajectory besides its horizon T
+QUINTIC_FIELDS = ("c1", "c2", "c3", "p0", "v0", "a0")
+
+
 class InvalidHorizonError(ValueError):
     """Horizon is not a positive finite number."""
 
@@ -66,19 +70,44 @@ class AxisTrajectory:
         Raises:
             OutOfDomainError: t (or any of its instants) is outside [0, T].
         """
+        self.check_domain(t)
+        return self.eval_state(t) + self.eval_derivs(t)
+
+    def check_domain(self, t) -> None:
+        """Raise OutOfDomainError unless every instant of t lies in [0, T]."""
         if isinstance(t, np.ndarray) or isinstance(self.T, np.ndarray):
             outside = bool(np.any(t < 0.0)) or bool(np.any(t > self.T))
         else:
             outside = t < 0.0 or t > self.T
         if outside:
             raise OutOfDomainError(f"t={t} outside [0, {self.T}]")
+
+    def eval_state(self, t):
+        """Position and velocity at t, as eval gives them, with no domain check."""
         c1, c2, c3 = self.c1, self.c2, self.c3
         p = ((((c1 / 120.0 * t + c2 / 24.0) * t + c3 / 6.0) * t + self.a0 / 2.0) * t + self.v0) * t + self.p0
         v = (((c1 / 24.0 * t + c2 / 6.0) * t + c3 / 2.0) * t + self.a0) * t + self.v0
+        return (p, v)
+
+    def eval_derivs(self, t):
+        """Acceleration, jerk and snap at t, as eval gives them, with no
+        domain check."""
+        c1, c2, c3 = self.c1, self.c2, self.c3
         a = ((c1 / 6.0 * t + c2 / 2.0) * t + c3) * t + self.a0
         j = (c1 / 2.0 * t + c2) * t + c3
         s = c1 * t + c2
-        return (p, v, a, j, s)
+        return (a, j, s)
+
+    def rows(self, idx) -> "AxisTrajectory":
+        """The quintics of the rows idx selects, from a trajectory whose
+        fields are (n, 1) horizon columns or (k, n, 1) axis stacks of them.
+
+        idx is an index array over the horizon axis; every field keeps its
+        leading axes, so the subset evaluates row by row exactly as the full
+        trajectory does.
+        """
+        return AxisTrajectory(*(getattr(self, f)[..., idx, :] for f in QUINTIC_FIELDS),
+                              T=self.T[idx])
 
 
 def solve_axis(b: AxisBoundary, T) -> AxisTrajectory:

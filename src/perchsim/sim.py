@@ -181,12 +181,6 @@ class BatchResult:
     def n(self) -> int:
         return len(self.episodes)
 
-    def solve_fraction_under(self, threshold: float) -> float:
-        if not self.solve_times:
-            return 0.0
-        arr = np.asarray(self.solve_times)
-        return float((arr < threshold).mean())
-
 
 def _fly_period(
     state: QuadState, att: AttitudeThrustCmd, sc: Scenario, t: float, dt: float,

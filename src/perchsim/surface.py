@@ -8,6 +8,7 @@ fitted state extrapolates linearly to a future rendezvous instant.
 
 from __future__ import annotations
 
+import bisect
 import csv
 from dataclasses import dataclass, field
 from typing import List, Tuple
@@ -90,7 +91,10 @@ def fit(track: SurfaceTrack, window: float, phi_s: float) -> SurfacePrediction:
     if len(track) < 2:
         raise InsufficientHistoryError("need at least two samples")
     t_latest = track.samples[-1].t
-    pts = [s for s in track.samples if s.t >= t_latest - window]
+    # stamps increase strictly, so the window is the tail from the first
+    # sample with t >= t_latest - window
+    first = bisect.bisect_left(track.samples, t_latest - window, key=lambda s: s.t)
+    pts = track.samples[first:]
     if len(pts) < 2:
         raise InsufficientHistoryError("need at least two samples inside the window")
     ts = np.array([s.t for s in pts])

@@ -92,8 +92,9 @@ class PlanResult:
     first feasible horizon) plus every bisection midpoint screened
     speculatively, whether or not the bisection reaches it.  passes counts
     the coarse-scan passes the search needed: up to the one whose hit it
-    bisected, or all of them on a fallback.  All three follow from the
-    inputs alone, not the host.
+    bisected, or all of them on a fallback.  lift_rows counts the screened
+    rows that passed the altitude and velocity bounds and so had their lifts
+    evaluated.  All four follow from the inputs alone, not the host.
     """
 
     T: float
@@ -104,6 +105,7 @@ class PlanResult:
     probes: int = 0
     passes: int = 0
     screens: int = 0
+    lift_rows: int = 0
 
 
 def _solve_pair(s0: FlatState, sT: TerminalStates, T) -> Tuple[AxisTrajectory, AxisTrajectory]:
@@ -123,8 +125,9 @@ def _stack(y, z, shape) -> np.ndarray:
 def _screen_horizons(
     s0: FlatState, pred: SurfacePrediction, cond: PerchConditions,
     horizons: List[float], c: Constraints, params: QuadParams,
-) -> np.ndarray:
-    """Feasibility of every horizon in one array screen, one verdict each.
+) -> Tuple[np.ndarray, int]:
+    """Feasibility of every horizon in one array screen, one verdict each,
+    and the number of horizons that reached the screen's lift stage.
 
     Terminal states are recomputed at every horizon: the rendezvous point
     moves with the predicted surface as T changes.  The y and z boundaries
@@ -136,9 +139,10 @@ def _screen_horizons(
     """
     T = np.asarray(horizons).reshape(-1, 1)
     if len(T) > SCREEN_BLOCK:
-        return np.concatenate([
+        oks, lifted = zip(*(
             _screen_horizons(s0, pred, cond, part, c, params)
-            for part in np.array_split(T, -(-len(T) // SCREEN_BLOCK))])
+            for part in np.array_split(T, -(-len(T) // SCREEN_BLOCK))))
+        return np.concatenate(oks), sum(lifted)
     sT = get_terminal_states(pred, T, cond)
     b = AxisBoundary(*(_stack(y, z, T.shape) for y, z in (
         (s0.y, s0.z), (s0.dy, s0.dz), (s0.ddy, s0.ddz),
@@ -169,7 +173,7 @@ def initialize(
     if state_in_band(s0.z, s0.dy, s0.dz, c):
         n = int(round(cap / step))
         horizons = [k * step for k in range(1, n + 1)]
-        hits = np.flatnonzero(_screen_horizons(s0, pred, cond, horizons, c, params))
+        hits = np.flatnonzero(_screen_horizons(s0, pred, cond, horizons, c, params)[0])
         if hits.size:
             return SearchState(T_last=horizons[hits[0]], T_e=clock(), clock=clock)
     raise InitializationFailedError(f"no feasible horizon up to {cap} s")
@@ -241,15 +245,16 @@ def _walk_tree(T_r: float, node: int, mids: List[float], kids: List[Tuple[int, i
 def _search(
     T_last: float, s0: FlatState, pred: SurfacePrediction, cond: PerchConditions,
     c: Constraints, params: QuadParams,
-) -> Tuple[Optional[float], int, int, int]:
+) -> Tuple[Optional[float], int, int, int, int]:
     """The window search of one cycle in at most two array screens.
 
     Returns the horizon found (None if the window is infeasible), then the
-    screens, probes and passes PlanResult reports.
+    screens, probes, passes and lift_rows PlanResult reports.
     """
     coarse = _coarse_passes(T_last)
     stride, first = coarse[0]
-    hits = np.flatnonzero(_screen_horizons(s0, pred, cond, first, c, params))
+    ok, lifted = _screen_horizons(s0, pred, cond, first, c, params)
+    hits = np.flatnonzero(ok)
     # brackets (pass, stride, upper end) the second screen can bisect, after
     # the horizons in scan that decide which bracket it is
     if hits.size:
@@ -263,18 +268,20 @@ def _search(
     kids: List[Tuple[int, int]] = []
     roots = [_grow_tree(T - stride, T, mids, kids) for _, stride, T in brackets]
     rows = scan + mids
-    ok = _screen_horizons(s0, pred, cond, rows, c, params) if rows else np.zeros(0, dtype=bool)
-    screens, probes = 1 + bool(rows), len(first) + len(rows)
+    ok, lifted_more = (_screen_horizons(s0, pred, cond, rows, c, params) if rows
+                       else (np.zeros(0, dtype=bool), 0))
+    screens, probes, lifted = 1 + bool(rows), len(first) + len(rows), lifted + lifted_more
 
     if hits.size:
         hit = 0
     else:
         later = np.flatnonzero(ok[:len(scan)])
         if not later.size:
-            return None, screens, probes, len(coarse)
+            return None, screens, probes, len(coarse), lifted
         hit = int(later[0])
     passes, _, T_r = brackets[hit]
-    return _walk_tree(T_r, roots[hit], mids, kids, ok[len(scan):]), screens, probes, passes
+    T = _walk_tree(T_r, roots[hit], mids, kids, ok[len(scan):])
+    return T, screens, probes, passes, lifted
 
 
 def plan(
@@ -306,9 +313,10 @@ def plan(
         raise ValueError("search state is not initialized")
     t_start = time.perf_counter()
 
-    T_found, screens, probes, passes = None, 0, 0, 0
+    T_found, screens, probes, passes, lifted = None, 0, 0, 0, 0
     if state_in_band(s0.z, s0.dy, s0.dz, c):
-        T_found, screens, probes, passes = _search(state.T_last, s0, pred, cond, c, params)
+        T_found, screens, probes, passes, lifted = _search(
+            state.T_last, s0, pred, cond, c, params)
 
     now = state.clock()
     if T_found is not None:
@@ -324,10 +332,10 @@ def plan(
         return PlanResult(
             T=T, outcome=STOPPED, terminal=None, trajectories=None,
             solve_time=time.perf_counter() - t_start,
-            probes=probes, passes=passes, screens=screens)
+            probes=probes, passes=passes, screens=screens, lift_rows=lifted)
     sT = get_terminal_states(pred, T, cond)
     ty, tz = _solve_pair(s0, sT, T)
     return PlanResult(
         T=T, outcome=outcome, terminal=sT, trajectories=(ty, tz),
         solve_time=time.perf_counter() - t_start,
-        probes=probes, passes=passes, screens=screens)
+        probes=probes, passes=passes, screens=screens, lift_rows=lifted)

@@ -79,6 +79,16 @@ def test_batch_outputs(quick_scenario, tmp_path, capsys):
     assert len(rows) == 3
     assert rows[0][0] == "seed"
     assert [r[0] for r in rows[1:]] == ["0", "1"]
+    # the engaged cup and its residual angle, empty without contact
+    col = {name: k for k, name in enumerate(rows[0])}
+    for r in rows[1:]:
+        cup, residual = r[col["impact_cup"]], r[col["impact_cup_residual_deg"]]
+        if r[col["impact_t"]]:
+            assert cup in ("-1", "0", "1")
+            float(residual)
+        else:
+            assert cup == residual == ""
+    assert any(r[col["impact_t"]] for r in rows[1:])
     text = (out / "batch_summary.txt").read_text()
     assert "episodes: 2" in text
     assert "success_rate:" in text
@@ -114,6 +124,8 @@ def test_bench_reports_percentiles(quick_scenario, capsys):
     screens = float(lines["screens_per_cycle"])
     assert 0.0 < screens <= 2.0
     assert float(lines["probes_per_cycle"]) >= max(1.0, screens)
+    # only rows inside the altitude and velocity bands reach the lift stage
+    assert 0.0 <= float(lines["lift_rows_per_cycle"]) <= float(lines["probes_per_cycle"])
     assert float(lines["episode_ms_mean"]) > 0.0
     assert float(lines["tick_us_excl_plan"]) > 0.0
 

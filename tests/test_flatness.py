@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+import perchsim.flatness
+import perchsim.timesearch
 from perchsim.dynamics import QuadParams
 from perchsim.flatness import (
     ALTITUDE,
@@ -17,6 +19,7 @@ from perchsim.flatness import (
     flat_to_attitude,
     flat_to_attitude_rate,
     flat_to_lifts,
+    sample_instants,
     state_in_band,
 )
 from perchsim.minjerk import AxisBoundary, AxisTrajectory, solve_axis
@@ -204,6 +207,149 @@ def test_feasible_rows_match_scalar_screen():
     assert [v.violation for v in verdicts] == [None, ALTITUDE, VELOCITY, LIFT, LIFT, ALTITUDE]
     assert math.isnan(verdicts[4].value)
     assert verdicts[5].value == c.z_min
-    rows = feasible_rows(_stack(pairs), c, PARAMS)
+    rows, _ = feasible_rows(_stack(pairs), c, PARAMS)
     assert rows.shape == (len(pairs),)
     assert rows.tolist() == [bool(v) for v in verdicts]
+
+
+# --- the one-pass screen, kept here as the reference for the two-stage one
+
+
+def reference_feasible_rows(pair, c, params):
+    """(verdicts, rows passing the state bounds) of the one-pass screen:
+    every row sampled on np.linspace instants through the full eval, lifts
+    from every sample, and all masks tested together."""
+    ts = np.linspace(0.0, pair.T[:, 0], c.n_samples, axis=1)
+    (_, pz), (vy, vz), (ay, az), (jy, jz), (sy, sz) = pair.eval(ts)
+    f1, f2 = flat_to_lifts(ay, az, jy, jz, sy, sz, params)
+    bad_state = (pz <= c.z_min) | (pz >= c.z_max) | (vy <= c.v_min) | (vy >= c.v_max) \
+        | (vz <= c.v_min) | (vz >= c.v_max)
+    bad_lift = ~((f1 >= 0.0) & (f1 <= c.F_max)) | ~((f2 >= 0.0) & (f2 <= c.F_max))
+    in_band = ~bad_state.any(axis=1)
+    return ~(bad_state | bad_lift).any(axis=1), int(in_band.sum())
+
+
+def _row(pair, i):
+    """Row i of a stacked pair as the (y, z) scalar trajectories it holds."""
+    return tuple(AxisTrajectory(**{f: float(getattr(pair, f)[axis, i, 0])
+                                   for f in ("c1", "c2", "c3", "p0", "v0", "a0")},
+                                T=float(pair.T[i, 0]))
+                 for axis in (0, 1))
+
+
+def _random_pairs(n, seed=0, gain=1.0, T_min=0.3):
+    """n stacked random pairs over horizons of T_min to T_min + 2.7 s; gain
+    scales every velocity and acceleration boundary."""
+    rng = np.random.default_rng(seed)
+    T = rng.uniform(T_min, T_min + 2.7, (n, 1))
+
+    def draw(y_lo, y_hi, z_lo, z_hi, k=1.0):
+        return k * np.stack((rng.uniform(y_lo, y_hi, (n, 1)), rng.uniform(z_lo, z_hi, (n, 1))))
+    b = AxisBoundary(draw(-1, 1, 1, 6), draw(-3, 3, -3, 3, gain), draw(-4, 4, -4, 4, gain),
+                     draw(-2, 4, 0, 7), draw(-3, 3, -3, 3, gain), draw(-9, 9, -9, 9, gain))
+    return solve_axis(b, T)
+
+
+#: the random pairs fail every kind of bound under these limits
+MIXED = Constraints(z_min=0.0, z_max=20.0, v_min=-5.0, v_max=5.0, F_max=PARAMS.m * G)
+
+
+def _edge_pairs():
+    """Rows at the edges of the two stages, under MIXED.
+
+    free_fall: inside the state bands, az hits -g exactly at sample 16;
+    last_lift: the lifts break F_max at the last sample only;
+    z_min_last: lands exactly on z_min at the last sample.
+    """
+    T_exact = 49.0 / 64.0                        # sample k lies at exactly k / 64
+    zero = AxisTrajectory(c1=0.0, c2=0.0, c3=0.0, p0=0.0, v0=0.0, a0=0.0, T=T_exact)
+    free_fall = AxisTrajectory(c1=0.0, c2=0.0, c3=2.0, p0=10.0, v0=4.0, a0=-G - 0.5, T=T_exact)
+    assert free_fall.eval(16.0 / 64.0)[2] == -G
+    last_lift = AxisTrajectory(c1=0.0, c2=0.0, c3=12.9, p0=10.0, v0=0.0, a0=0.0, T=T_exact)
+    zero_1 = AxisTrajectory(c1=0.0, c2=0.0, c3=0.0, p0=0.0, v0=0.0, a0=0.0, T=1.0)
+    z_min_last = AxisTrajectory(c1=0.0, c2=0.0, c3=0.0, p0=1.0, v0=0.0, a0=-2.0, T=1.0)
+    return {"free_fall": (zero, free_fall), "last_lift": (zero, last_lift),
+            "z_min_last": (zero_1, z_min_last)}
+
+
+def _assert_rows_match_reference(pair, c):
+    """feasible_rows against the one-pass reference and check_feasible, row
+    by row; returns the verdicts and the lift-stage row count."""
+    ok, lifted = feasible_rows(pair, c, PARAMS)
+    ref_ok, ref_in_band = reference_feasible_rows(pair, c, PARAMS)
+    assert ok.dtype == bool and ok.shape == (len(pair.T),)
+    assert ok.tolist() == ref_ok.tolist()
+    assert lifted == ref_in_band
+    assert ok.tolist() == [bool(check_feasible(*_row(pair, i), c, PARAMS)) for i in range(len(ok))]
+    return ok, lifted
+
+
+def test_edge_rows_of_each_stage():
+    edges = _edge_pairs()
+    res = {k: check_feasible(ty, tz, MIXED, PARAMS) for k, (ty, tz) in edges.items()}
+    assert res["free_fall"].violation == LIFT and res["free_fall"].t == 16.0 / 64.0
+    assert math.isnan(res["free_fall"].value)
+    assert (res["last_lift"].violation, res["last_lift"].t) == (LIFT, 49.0 / 64.0)
+    assert res["last_lift"].value > MIXED.F_max
+    assert (res["z_min_last"].violation, res["z_min_last"].t, res["z_min_last"].value) == (
+        ALTITUDE, 1.0, MIXED.z_min)
+    # every edge row with a feasible hover on either side of it
+    pairs = [_hover_pair(z=10.0)]
+    for ty, tz in edges.values():
+        pairs += [(ty, tz), _hover_pair(z=10.0)]
+    ok, lifted = _assert_rows_match_reference(_stack(pairs), MIXED)
+    assert ok.tolist() == [True, False, True, False, True, False, True]
+    # the free-fall and last-sample lift rows reach the lift stage; the row
+    # on z_min does not
+    assert lifted == 6
+
+
+def test_random_rows_match_reference():
+    # more rows than one timesearch block, with the edge rows spread among them
+    pair = _random_pairs(600)
+    fields = ("c1", "c2", "c3", "p0", "v0", "a0", "T")
+    edges = list(_edge_pairs().values())
+    cols = {f: [getattr(pair, f)] for f in fields}
+    for ty, tz in edges:
+        for f in fields[:-1]:
+            cols[f].append(np.array([getattr(ty, f), getattr(tz, f)]).reshape(2, 1, 1))
+        cols["T"].append(np.array([[ty.T]]))
+    order = np.random.default_rng(1).permutation(600 + len(edges))
+    mixed = AxisTrajectory(**{f: np.concatenate(cols[f], axis=-2)[..., order, :] for f in fields})
+    ok, lifted = _assert_rows_match_reference(mixed, MIXED)
+    assert len(ok) > perchsim.timesearch.SCREEN_BLOCK
+    # the batch mixes state failures, lift failures and feasible rows
+    assert 0 < ok.sum() < lifted < len(ok)
+
+
+def test_all_rows_fail_the_state_bounds_without_lifts(monkeypatch):
+    pair = _random_pairs(500)
+    high = Constraints(z_min=7.0, z_max=20.0, v_min=-50.0, v_max=50.0, F_max=PARAMS.F_max)
+    ref_ok, ref_in_band = reference_feasible_rows(pair, high, PARAMS)
+    assert ref_in_band == 0
+
+    def no_lifts(*args):
+        raise AssertionError("lifts evaluated for a row that failed the state bounds")
+
+    monkeypatch.setattr(perchsim.flatness, "flat_to_lifts", no_lifts)
+    ok, lifted = feasible_rows(pair, high, PARAMS)
+    assert lifted == 0
+    assert not ok.any() and ok.tolist() == ref_ok.tolist()
+
+
+def test_all_rows_pass():
+    # slow, gentle pairs: the lifts stay near hover
+    pair = _random_pairs(500, gain=0.05, T_min=2.3)
+    wide = Constraints(z_min=-1e3, z_max=1e3, v_min=-1e3, v_max=1e3, F_max=1e6)
+    ok, lifted = _assert_rows_match_reference(pair, wide)
+    assert ok.all() and lifted == 500
+
+
+@pytest.mark.parametrize("n", [2, 5, 50])
+def test_sample_instants_equal_linspace(n):
+    T = np.concatenate((np.random.default_rng(n).uniform(0.01, 12.0, (200, 1)),
+                        [[0.4], [1.0], [3.0], [10.0], [0.1]]))
+    want = np.linspace(0.0, T[:, 0], n, axis=1)
+    got = sample_instants(T, n)
+    assert got.shape == want.shape
+    assert got.tobytes() == np.ascontiguousarray(want).tobytes()

@@ -144,3 +144,24 @@ def test_coasting_initial_conditions():
     traj = AxisTrajectory(c1=0.0, c2=0.0, c3=0.0, p0=1.0, v0=2.0, a0=-1.0, T=3.0)
     t = 1.7
     assert traj.eval(t)[0] == pytest.approx(1.0 + 2.0 * t - 0.5 * t * t, abs=1e-14)
+
+
+def test_row_subset_and_split_chains_match_eval():
+    # eval_state and eval_derivs are eval's (p, v) and (a, j, s) parts; a
+    # row subset of a stacked pair evaluates each kept row bit for bit as
+    # the whole pair does
+    Bz = AxisBoundary(1.2, -0.3, 0.4, 0.9, 0.2, -1.1)
+    T = np.array([[0.9], [1.3], [2.05], [0.7]])
+    stacked = AxisBoundary(*(np.stack((np.full_like(T, getattr(B, f)), np.full_like(T, getattr(Bz, f))))
+                             for f in ("p0", "v0", "a0", "pT", "vT", "aT")))
+    pair = solve_axis(stacked, T)
+    ts = np.linspace(0.0, T[:, 0], 9, axis=1)
+    full = pair.eval(ts)
+    assert all(a.tobytes() == b.tobytes()
+               for a, b in zip(full, pair.eval_state(ts) + pair.eval_derivs(ts)))
+    idx = np.array([3, 1])
+    sub = pair.rows(idx)
+    assert sub.c1.shape == (2, 2, 1) and sub.T.shape == (2, 1)
+    assert sub.T.tobytes() == T[idx].tobytes()
+    for got, want in zip(sub.eval(ts[idx]), full):
+        assert got.tobytes() == want[:, idx].tobytes()

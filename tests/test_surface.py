@@ -92,3 +92,17 @@ def test_degenerate_window():
     tr.samples = [SurfaceSample(1.0, 2.0, 1.0), SurfaceSample(1.0, 2.1, 1.0)]
     with pytest.raises(DegenerateFitError):
         fit(tr, 0.5, 0.0)
+
+
+def test_long_track_fits_only_its_window():
+    # stamps k / 32 are exact, so t_latest - window lands exactly on a
+    # sample, which the window includes
+    rng = np.random.default_rng(3)
+    ts = np.arange(3000) / 32.0
+    ys = 2.0 + 0.8 * ts + rng.normal(0.0, 0.01, ts.size)
+    long = _track(ts, ys)
+    assert ts[-1] - 0.5 == ts[-17]
+    tail = _track(ts[-17:], ys[-17:])
+    assert fit(long, window=0.5, phi_s=0.3) == fit(tail, window=0.5, phi_s=0.3)
+    # without the edge sample the fit differs
+    assert fit(_track(ts[-16:], ys[-16:]), window=0.5, phi_s=0.3) != fit(tail, window=0.5, phi_s=0.3)

@@ -19,6 +19,7 @@ from perchsim.sim import EpisodeTrace, run_episode
 from perchsim.surface import SurfacePrediction
 from perchsim.terminal import default_conditions, get_terminal_states
 from perchsim.timesearch import (
+    SCREEN_BLOCK,
     BISECT_TOL,
     FALLBACK,
     FOUND,
@@ -29,10 +30,12 @@ from perchsim.timesearch import (
     InitializationFailedError,
     PlanResult,
     SearchState,
+    _screen_horizons,
     _solve_pair,
     initialize,
     plan,
 )
+from test_flatness import reference_feasible_rows
 
 PARAMS = QuadParams(m=0.945)
 CONSTR = Constraints(z_min=-2.0, z_max=5.0, v_min=-2.5, v_max=2.5,
@@ -354,3 +357,37 @@ def test_episode_trace_matches_reference_planner(name, monkeypatch):
     assert len(shipped.plans) == len(ref.plans) > 0
     for col in EpisodeTrace.COLUMNS:
         assert getattr(shipped.trace, col).tobytes() == getattr(ref.trace, col).tobytes(), col
+
+
+# --- the two-stage screen inside the planner, against the one-pass screen
+
+
+def test_long_screen_matches_reference_screen(monkeypatch):
+    # a screen of several blocks: same verdicts and lift-stage rows
+    horizons = [0.4 + 0.021 * k for k in range(3 * SCREEN_BLOCK + 7)]
+    counts = []
+    for pred, c in ((PRED, CONSTR), (FAR, SLOW)):
+        ok, lifted = _screen_horizons(S0, pred, COND, horizons, c, PARAMS)
+        with monkeypatch.context() as m:
+            m.setattr(perchsim.timesearch, "feasible_rows", reference_feasible_rows)
+            ref_ok, ref_lifted = _screen_horizons(S0, pred, COND, horizons, c, PARAMS)
+        assert ok.tolist() == ref_ok.tolist() and lifted == ref_lifted
+        counts.append(lifted)
+    # some rows of the wide band reach the lift stage; none of the slow one
+    assert 0 < counts[0] < len(horizons) and counts[1] == 0
+
+
+@pytest.mark.parametrize("name", ["static_47.ini", "moving_90_forward.ini"])
+def test_episode_trace_matches_reference_screen(name, monkeypatch):
+    path = Path(__file__).resolve().parent.parent / "scenarios" / name
+    sc = replace(load_scenario(str(path)), seed=0)
+    shipped = run_episode(sc)
+    monkeypatch.setattr(perchsim.timesearch, "feasible_rows", reference_feasible_rows)
+    ref = run_episode(sc)
+    assert len(shipped.plans) == len(ref.plans) > 0
+    for col in EpisodeTrace.COLUMNS:
+        assert getattr(shipped.trace, col).tobytes() == getattr(ref.trace, col).tobytes(), col
+    counts = [(p.result.probes, p.result.lift_rows) for p in shipped.plans]
+    assert counts == [(p.result.probes, p.result.lift_rows) for p in ref.plans]
+    # the lift stage ran on some rows, never on more than were screened
+    assert 0 < sum(lifted for _, lifted in counts) < sum(probes for probes, _ in counts)
