@@ -55,9 +55,6 @@ class TrackingController:
         self.gains = gains
         self.integral = np.zeros(2)
 
-    def reset(self) -> None:
-        self.integral[:] = 0.0
-
     def command(
         self,
         ref_p: np.ndarray,

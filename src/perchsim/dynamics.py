@@ -39,7 +39,9 @@ class QuadParams:
     def __post_init__(self):
         if self.m <= 0 or self.J <= 0 or self.d_s <= 0:
             raise ValueError("mass, inertia and lever arm must be positive")
-        if self.F_max <= 0:
+        if not self.F_max >= 0:
+            raise ValueError("vehicle lift ceiling F_max must be nonnegative (0: the default)")
+        if self.F_max == 0:
             # default ceiling: one pair can carry the whole weight
             object.__setattr__(self, "F_max", self.m * self.g)
 

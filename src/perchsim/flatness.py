@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .dynamics import QuadParams
+from .dynamics import GRAVITY, QuadParams
 from .minjerk import QUINTIC_FIELDS, AxisTrajectory
 
 #: violation kinds reported by check_feasible
@@ -51,6 +51,8 @@ class Constraints:
             raise ValueError("z band is empty")
         if self.v_min >= self.v_max:
             raise ValueError("velocity band is empty")
+        if not self.F_max > 0:
+            raise ValueError("screen lift ceiling F_max must be positive")
         if self.n_samples < 2:
             raise ValueError("need at least 2 samples")
 
@@ -66,7 +68,7 @@ class FeasibilityResult:
         return self.feasible
 
 
-def flat_to_attitude(ay: float, az: float, g: float = 9.8) -> float:
+def flat_to_attitude(ay: float, az: float, g: float = GRAVITY) -> float:
     """Roll angle realizing a flat-output acceleration, in (-pi, pi].
 
     Uses the two-argument arctangent so attitudes beyond +-90 deg (thrust
@@ -81,7 +83,7 @@ def flat_to_attitude(ay: float, az: float, g: float = 9.8) -> float:
     return -math.atan2(ay, b)
 
 
-def flat_to_attitude_rate(ay: float, az: float, jy: float, jz: float, g: float = 9.8) -> float:
+def flat_to_attitude_rate(ay: float, az: float, jy: float, jz: float, g: float = GRAVITY) -> float:
     """Roll rate along a flat trajectory, from acceleration and jerk.
 
     Raises:

@@ -10,8 +10,8 @@ under seeded sample noise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import List, Optional, Tuple
+from dataclasses import dataclass, fields, replace
+from typing import ClassVar, List, Optional, Tuple
 
 import numpy as np
 
@@ -88,7 +88,8 @@ class Scenario:
     gripper: GripperGeometry = GripperGeometry()
     noise_sigma: float = 0.001
     seed: int = 0
-    # harness settings
+    # harness settings, the [harness] section of a scenario file: every field
+    # from d_l on
     d_l: float = 0.0859            # gripper mount offset below the body center
     control_rate: float = 30.0
     substeps: int = 33             # physics steps per control period (dt ~ 1 ms)
@@ -100,6 +101,21 @@ class Scenario:
     k_p_phi: float = 120.0
     k_d_phi: float = 22.0
     stall_thrust: float = 0.4      # hover fraction held while waiting for contact
+
+    def __post_init__(self):
+        if not 0 < self.control_rate < math.inf:
+            raise ValueError("control_rate must be positive and finite")
+        if self.substeps < 1:
+            raise ValueError("substeps must be at least 1")
+        if not (math.isfinite(self.timeout) and self.n_ticks >= 1):
+            raise ValueError("timeout must be finite and last at least one control period")
+        if not self.noise_sigma >= 0:
+            raise ValueError("noise_sigma must be nonnegative")
+
+    @property
+    def n_ticks(self) -> int:
+        """Control periods in one episode."""
+        return int(round(self.timeout / (1.0 / self.control_rate)))
 
 
 @dataclass
@@ -126,11 +142,11 @@ class EpisodeTrace:
     plan_T: np.ndarray
     plan_outcome: np.ndarray
 
-    COLUMNS = (
-        "t", "y", "z", "phi", "dy", "dz", "F1", "F2",
-        "ref_y", "ref_z", "ref_dy", "ref_dz", "ref_ay", "ref_az",
-        "cmd_ay", "cmd_az", "phase", "plan_T", "plan_outcome",
-    )
+    COLUMNS: ClassVar[Tuple[str, ...]]
+
+
+#: trace column names, in field order
+EpisodeTrace.COLUMNS = tuple(f.name for f in fields(EpisodeTrace))
 
 
 @dataclass(frozen=True)
@@ -292,8 +308,7 @@ def run_episode(sc: Scenario) -> EpisodeResult:
 
     impact: Optional[Tuple[float, float]] = None  # (t, dy_s)
 
-    n_ticks = int(round(sc.timeout / control_dt))
-    for k in range(n_ticks):
+    for k in range(sc.n_ticks):
         t = k * control_dt
         sim_t[0] = t
 

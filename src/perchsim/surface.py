@@ -9,7 +9,6 @@ fitted state extrapolates linearly to a future rendezvous instant.
 from __future__ import annotations
 
 import bisect
-import csv
 from dataclasses import dataclass, field
 from typing import List, Tuple
 
@@ -46,15 +45,6 @@ class SurfaceTrack:
 
     def __len__(self) -> int:
         return len(self.samples)
-
-    @classmethod
-    def from_csv(cls, path: str) -> "SurfaceTrack":
-        """Load a track from a CSV file with header t,y_s,z_s."""
-        track = cls()
-        with open(path, newline="") as fh:
-            for row in csv.DictReader(fh):
-                track.append(SurfaceSample(float(row["t"]), float(row["y_s"]), float(row["z_s"])))
-        return track
 
 
 @dataclass(frozen=True)

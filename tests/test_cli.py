@@ -70,6 +70,15 @@ def test_run_bad_scenario_key(tmp_path, capsys):
     assert "bogus_key" in capsys.readouterr().err
 
 
+def test_run_malformed_scenario_file(tmp_path, capsys):
+    f = tmp_path / "bad.ini"
+    f.write_text("[scenario]\nphi_s_deg = 47\n[scenario]\nseed = 1\n")
+    rc = main(["run", "--scenario", str(f), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed scenario file") and str(f) in err
+
+
 def test_batch_outputs(quick_scenario, tmp_path, capsys):
     out = tmp_path / "out"
     rc = main(["batch", "--scenario", str(quick_scenario), "--n", "2", "--out", str(out)])

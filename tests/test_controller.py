@@ -58,8 +58,6 @@ def test_integral_accumulates_and_clamps():
     for _ in range(100):
         ctl.command(err, V, np.zeros(2), P, V, 0.1, 2.0, 0.01)
     assert ctl.integral[0] == pytest.approx(0.02)
-    ctl.reset()
-    assert np.all(ctl.integral == 0.0)
 
 
 def test_attitude_thrust_hover():

@@ -98,3 +98,9 @@ def test_rk4_single_step_matches_integrate():
     a = rk4_step(s0, cmd, 0.0, 1e-3, PARAMS)
     b, _ = integrate(s0, cmd, 0.0, 1e-3, 1e-3, PARAMS)
     assert a.as_tuple() == b.as_tuple()
+
+
+def test_negative_lift_ceiling_rejected():
+    # only 0 selects the default ceiling; a negative one is a typo
+    with pytest.raises(ValueError, match="F_max"):
+        QuadParams(m=1.0, F_max=-5.0)

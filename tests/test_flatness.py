@@ -353,3 +353,9 @@ def test_sample_instants_equal_linspace(n):
     got = sample_instants(T, n)
     assert got.shape == want.shape
     assert got.tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+def test_constraints_need_a_positive_lift_ceiling():
+    for F_max in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match="F_max"):
+            Constraints(z_min=0.0, z_max=1.0, v_min=-1.0, v_max=1.0, F_max=F_max)

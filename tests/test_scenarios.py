@@ -1,12 +1,18 @@
 """Scenario files: shipped campaign configs and loader validation."""
 
+import configparser
+import dataclasses
 import math
+import re
 from pathlib import Path
 
 import pytest
 
-from perchsim.scenarios import ScenarioError, load_scenario
-from perchsim.terminal import DEFAULT_PERCH_CONDITIONS
+from perchsim.dynamics import GRAVITY, QuadParams
+from perchsim.flatness import Constraints
+from perchsim.scenarios import SCHEMA, ScenarioError, load_scenario
+from perchsim.sim import Scenario, SurfaceMotion
+from perchsim.terminal import DEFAULT_PERCH_CONDITIONS, PerchConditions
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -122,3 +128,202 @@ def test_config_invariants_surface_as_scenario_errors(tmp_path):
 def test_missing_file_rejected(tmp_path):
     with pytest.raises(ScenarioError, match="cannot read"):
         load_scenario(str(tmp_path / "absent.ini"))
+
+
+# --- the schema: one table of keys, fields and defaults -------------------
+
+#: every accepted key -> (value written, path of the field it sets, value loaded)
+SCHEMA_CASES = {
+    ("scenario", "phi_s_deg"): ("50", ("phi_s",), math.radians(50.0)),
+    ("scenario", "seed"): ("7", ("seed",), 7),
+    ("scenario", "noise_sigma"): ("0.002", ("noise_sigma",), 0.002),
+    ("surface", "kind"): ("ramp", ("motion", "kind"), "ramp"),
+    ("surface", "v_target"): ("2.0", ("motion", "v_target"), 2.0),
+    ("surface", "accel"): ("2.0", ("motion", "accel"), 2.0),
+    ("surface", "direction"): ("backward", ("motion", "direction"), "backward"),
+    ("surface", "y0"): ("3.0", ("surface_y0",), 3.0),
+    ("surface", "z0"): ("1.5", ("surface_z0",), 1.5),
+    ("quad", "m"): ("1.0", ("params", "m"), 1.0),
+    ("quad", "j"): ("0.02", ("params", "J"), 0.02),
+    ("quad", "d_s"): ("0.08", ("params", "d_s"), 0.08),
+    ("quad", "f_max"): ("12", ("params", "F_max"), 12.0),
+    ("initial", "y"): ("0.5", ("quad_y0",), 0.5),
+    ("initial", "z"): ("1.0", ("quad_z0",), 1.0),
+    ("constraints", "z_min"): ("-1", ("constraints", "z_min"), -1.0),
+    ("constraints", "z_max"): ("4", ("constraints", "z_max"), 4.0),
+    ("constraints", "v_min"): ("-3", ("constraints", "v_min"), -3.0),
+    ("constraints", "v_max"): ("3", ("constraints", "v_max"), 3.0),
+    ("constraints", "f_max"): ("11", ("constraints", "F_max"), 11.0),
+    ("constraints", "n_samples"): ("40", ("constraints", "n_samples"), 40),
+    ("perch", "dv_ys"): ("0.4", ("conditions", "dV_Ys"), 0.4),
+    ("perch", "dv_zs"): ("-0.4", ("conditions", "dV_Zs"), -0.4),
+    ("perch", "l_zs"): ("0.3", ("conditions", "l_Zs"), 0.3),
+    ("gains", "k_p"): ("7, 8", ("gains", "k_p"), (7.0, 8.0)),
+    ("gains", "k_v"): ("5, 6", ("gains", "k_v"), (5.0, 6.0)),
+    ("gains", "k_i"): ("0.6, 0.7", ("gains", "k_i"), (0.6, 0.7)),
+    ("gains", "delta_t"): ("0.2", ("gains", "delta_t"), 0.2),
+    ("gains", "i_limit"): ("0.6", ("gains", "i_limit"), 0.6),
+    ("envelope", "phi_e_min_deg"): ("-20", ("envelope", "phi_e_min"), math.radians(-20.0)),
+    ("envelope", "phi_e_max_deg"): ("30", ("envelope", "phi_e_max"), math.radians(30.0)),
+    ("envelope", "vt_min"): ("-0.1", ("envelope", "vt_min"), -0.1),
+    ("envelope", "vt_max"): ("0.9", ("envelope", "vt_max"), 0.9),
+    ("envelope", "vn_min"): ("-1.0", ("envelope", "vn_min"), -1.0),
+    ("envelope", "vn_max"): ("-0.1", ("envelope", "vn_max"), -0.1),
+    ("harness", "d_l"): ("0.09", ("d_l",), 0.09),
+    ("harness", "control_rate"): ("40", ("control_rate",), 40.0),
+    ("harness", "substeps"): ("20", ("substeps",), 20),
+    ("harness", "predictor_window"): ("0.6", ("predictor_window",), 0.6),
+    ("harness", "detect_threshold"): ("0.06", ("detect_threshold",), 0.06),
+    ("harness", "timeout"): ("9", ("timeout",), 9.0),
+    ("harness", "init_step"): ("0.2", ("init_step",), 0.2),
+    ("harness", "init_cap"): ("11", ("init_cap",), 11.0),
+    ("harness", "k_p_phi"): ("130", ("k_p_phi",), 130.0),
+    ("harness", "k_d_phi"): ("23", ("k_d_phi",), 23.0),
+    ("harness", "stall_thrust"): ("0.5", ("stall_thrust",), 0.5),
+}
+
+#: pins every default that follows another key (motion kind, inclination,
+#: vehicle ceiling), so a single changed key moves a single field
+SCHEMA_BASE = {
+    ("scenario", "phi_s_deg"): "47",
+    ("surface", "v_target"): "1.0",
+    ("surface", "y0"): "2.2",
+    ("quad", "f_max"): "10",
+    ("constraints", "f_max"): "10",
+    ("perch", "dv_ys"): "0.3",
+    ("perch", "dv_zs"): "-0.5",
+    ("perch", "l_zs"): "0.2",
+    ("harness", "timeout"): "8",
+}
+
+
+def _write_ini(path, values):
+    sections = {}
+    for (section, key), raw in values.items():
+        sections.setdefault(section, []).append(f"{key} = {raw}")
+    path.write_text("".join(f"[{s}]\n" + "\n".join(lines) + "\n" for s, lines in sections.items()))
+    return str(path)
+
+
+def _flat_fields(obj, prefix=()):
+    """{field path: value} down through nested config dataclasses."""
+    out = {}
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if dataclasses.is_dataclass(value):
+            out.update(_flat_fields(value, prefix + (f.name,)))
+        else:
+            out[prefix + (f.name,)] = value
+    return out
+
+
+def test_schema_cases_cover_exactly_the_accepted_keys():
+    accepted = {(s, k) for s, keys in SCHEMA.items() for k in keys}
+    assert accepted == set(SCHEMA_CASES)
+    assert len(accepted) == 46
+
+
+@pytest.mark.parametrize("section,key", sorted(SCHEMA_CASES))
+def test_each_key_sets_exactly_its_field(section, key, tmp_path):
+    raw, path, expected = SCHEMA_CASES[section, key]
+    base = _flat_fields(load_scenario(_write_ini(tmp_path / "base.ini", SCHEMA_BASE)))
+    assert base[path] != expected
+    changed = _flat_fields(load_scenario(
+        _write_ini(tmp_path / "changed.ini", {**SCHEMA_BASE, (section, key): raw})))
+    assert {p for p in base if base[p] != changed[p]} == {path}
+    assert changed[path] == expected
+
+
+@pytest.mark.parametrize("motion", ["static", "ramp"])
+def test_minimal_file_is_dataclass_plus_loader_defaults(motion, tmp_path):
+    text = "[scenario]\nphi_s_deg = 90\n"
+    if motion == "ramp":
+        text += "[surface]\nkind = ramp\nv_target = 1.0\n"
+    f = tmp_path / "s.ini"
+    f.write_text(text)
+    params = QuadParams(m=0.945)
+    fields = dict(
+        phi_s=math.radians(90.0),
+        motion=SurfaceMotion(),
+        surface_y0=2.2, surface_z0=1.0, quad_y0=0.0, quad_z0=1.2,
+        params=params,
+        constraints=Constraints(z_min=-2.0, z_max=5.0, v_min=-4.0, v_max=4.0, F_max=params.F_max),
+        conditions=DEFAULT_PERCH_CONDITIONS[("static", 90)],
+    )
+    if motion == "ramp":
+        fields.update(motion=SurfaceMotion(kind="ramp", v_target=1.0), surface_y0=2.5,
+                      timeout=10.0, conditions=DEFAULT_PERCH_CONDITIONS[("forward", 90)])
+    assert load_scenario(str(f)) == Scenario(**fields)
+
+
+def test_off_grid_inclination_falls_back(tmp_path):
+    f = tmp_path / "s.ini"
+    f.write_text("[scenario]\nphi_s_deg = 50\n")
+    assert load_scenario(str(f)).conditions == PerchConditions(0.3, -0.5, 0.2)
+
+
+def test_perch_lookup_reads_degrees_as_written(tmp_path, monkeypatch):
+    # 14.5 deg rounds to 14, but degrees(radians(14.5)) rounds to 15
+    assert round(math.degrees(math.radians(14.5))) == 15
+    grid = PerchConditions(0.1, -0.2, 0.3)
+    monkeypatch.setitem(DEFAULT_PERCH_CONDITIONS, ("static", 14), grid)
+    f = tmp_path / "s.ini"
+    f.write_text("[scenario]\nphi_s_deg = 14.5\n")
+    assert load_scenario(str(f)).conditions == grid
+
+
+def test_readme_example_loads_and_lists_every_key(tmp_path):
+    readme = (SCENARIO_DIR.parent / "README.md").read_text()
+    blocks = re.findall(r"```ini\n(.*?)```", readme, re.S)
+    assert len(blocks) == 1
+    cp = configparser.ConfigParser()
+    cp.read_string(blocks[0])
+    written = {(s, k) for s in cp.sections() for k in cp.options(s)}
+    assert written == {(s, k) for s, keys in SCHEMA.items() for k in keys}
+    f = tmp_path / "readme.ini"
+    f.write_text(blocks[0])
+    assert load_scenario(str(f)).motion.kind == "ramp"
+
+
+# --- malformed files and values that cannot run ---------------------------
+
+@pytest.mark.parametrize("text", [
+    "[scenario]\nphi_s_deg = 47\n[scenario]\nseed = 1\n",      # duplicate section
+    "[scenario]\nphi_s_deg = 47\nseed = 1\nseed = 2\n",        # duplicate key
+    "phi_s_deg = 47\n",                                        # no section header
+    "[scenario]\nphi_s_deg = 47\nsteep\n",                     # malformed line
+], ids=["duplicate-section", "duplicate-key", "no-section-header", "malformed-line"])
+def test_malformed_file_is_a_scenario_error(text, tmp_path):
+    f = tmp_path / "bad.ini"
+    f.write_text(text)
+    with pytest.raises(ScenarioError, match=re.escape(repr(str(f)))):
+        load_scenario(str(f))
+
+
+def test_non_text_file_is_a_scenario_error(tmp_path):
+    f = tmp_path / "bad.ini"
+    f.write_bytes(b"[scenario]\nphi_s_deg = 47\n\xff\xfe\n")
+    with pytest.raises(ScenarioError, match="malformed scenario file"):
+        load_scenario(str(f))
+
+
+@pytest.mark.parametrize("section,key,raw,message", [
+    ("harness", "timeout", "0.01", "at least one control period"),
+    ("harness", "timeout", "inf", "timeout must be finite"),
+    ("harness", "substeps", "0", "substeps must be at least 1"),
+    ("harness", "control_rate", "0", "control_rate must be positive"),
+    ("scenario", "noise_sigma", "-0.001", "noise_sigma must be nonnegative"),
+    ("quad", "f_max", "-5", "vehicle lift ceiling F_max"),
+    ("constraints", "f_max", "0", "screen lift ceiling F_max"),
+    ("constraints", "f_max", "-1", "screen lift ceiling F_max"),
+])
+def test_values_that_cannot_run_are_rejected(section, key, raw, message, tmp_path):
+    f = _write_ini(tmp_path / "s.ini", {("scenario", "phi_s_deg"): "47", (section, key): raw})
+    with pytest.raises(ScenarioError, match=message):
+        load_scenario(f)
+
+
+def test_vehicle_ceiling_zero_still_means_the_weight(tmp_path):
+    f = _write_ini(tmp_path / "s.ini", {("scenario", "phi_s_deg"): "47", ("quad", "f_max"): "0"})
+    sc = load_scenario(f)
+    assert sc.params.F_max == sc.constraints.F_max == 0.945 * GRAVITY

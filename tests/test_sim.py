@@ -1,7 +1,7 @@
 """Closed-loop episode harness: determinism, phasing, impact scoring."""
 
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -291,3 +291,17 @@ def test_surface_motion_validation():
         SurfaceMotion(kind="ramp", v_target=0.0)
     with pytest.raises(ValueError):
         SurfaceMotion(direction="up")
+
+
+@pytest.mark.parametrize("change", [
+    {"timeout": 0.01}, {"timeout": math.inf}, {"substeps": 0}, {"control_rate": 0.0},
+    {"control_rate": math.inf}, {"noise_sigma": -0.001},
+], ids=lambda c: f"{next(iter(c))}={next(iter(c.values()))}")
+def test_scenario_rejects_settings_that_cannot_run(change):
+    with pytest.raises(ValueError):
+        replace(SC, **change)
+
+
+def test_trace_columns_are_the_fields_in_order():
+    assert EpisodeTrace.COLUMNS == tuple(f.name for f in fields(EpisodeTrace))
+    assert EpisodeTrace.COLUMNS[:3] == ("t", "y", "z") and len(EpisodeTrace.COLUMNS) == 19

@@ -76,15 +76,6 @@ def test_strictly_increasing_stamps():
         tr.append(SurfaceSample(0.1, 2.0, 1.0))
 
 
-def test_csv_round_trip(tmp_path):
-    path = tmp_path / "track.csv"
-    path.write_text("t,y_s,z_s\n0.0,2.0,1.0\n0.1,2.05,1.0\n0.2,2.1,1.0\n")
-    tr = SurfaceTrack.from_csv(str(path))
-    assert len(tr) == 3
-    p = fit(tr, 1.0, 0.0)
-    assert p.vy == pytest.approx(0.5, abs=1e-9)
-
-
 def test_degenerate_window():
     # identical timestamps cannot enter one track, so build the window
     # degenerate case from a raw samples list
