@@ -6,7 +6,7 @@ them); `*_deg` keys are angles in degrees.  Every key is optional except
 [scenario] phi_s_deg; an omitted key takes its field's default.  The shipped
 files under scenarios/ are the only source of the campaign setups and their
 retuned gains.  Unknown sections or keys are rejected so a typo cannot
-silently revert a setting to its default.
+silently revert a setting to its default, and so is a [DEFAULT] section.
 """
 
 from __future__ import annotations
@@ -74,10 +74,14 @@ def load_scenario(path: str, seed: Optional[int] = None) -> Scenario:
         seed: overrides the file's seed when given.
 
     Raises:
-        ScenarioError: malformed file, unknown section/key, unparsable
-            value, or a scenario that fails the configuration invariants.
+        ScenarioError: malformed file, unknown section/key, a [DEFAULT]
+            section, unparsable value, or a scenario that fails the
+            configuration invariants.
     """
-    cp = configparser.ConfigParser()
+    # no header can name the empty section, so a [DEFAULT] section parses as
+    # an ordinary one and is rejected as unknown, instead of lending its keys
+    # to every other section
+    cp = configparser.ConfigParser(default_section="")
     kw: Dict[type, dict] = defaultdict(dict)
     try:
         if not cp.read(path):

@@ -4,25 +4,27 @@ Each planning cycle searches a window around the previously committed
 horizon: a coarse forward scan finds a feasible horizon, halving its stride
 and restarting whenever a pass comes up empty, then bisection tightens the
 result to 0.1 s.  The search decides exactly what a probe-by-probe walk
-decides, in at most two array screens: the first pass, then either every
-midpoint the bisection of its hit can probe, or every later pass together
-with the midpoints of every bracket a hit there can open.  Each screen
-solves both axes of every row in one call (y stacked over z) and samples
-them in one evaluation.  A start state outside the altitude or velocity band
-fails every candidate at its first sample, so it is decided with no screen:
-the planner falls back, and initialization fails.  If the whole window is
-infeasible the previous horizon is carried forward, shrunk by the wall time
-elapsed since it was committed, so the rendezvous instant stays fixed while
-tracking continues on the last trajectories.  Search stops producing
-trajectories once the horizon falls under a cutoff, which also keeps the
-unnormalized quintic coefficients away from their small-T blowup.
+decides, in at most two array screens.  The first holds the first pass and
+every midpoint the bisection under each of its horizons can probe, so a hit
+in the first pass is decided in that one screen.  Only a miss builds the
+later passes; the second screen holds them together with the midpoints of
+every bracket a hit there can open.  Each screen solves both axes of every
+row in one call (y stacked over z) and samples them in one evaluation.  A
+start state outside the altitude or velocity band fails every candidate at
+its first sample, so it is decided with no screen: the planner falls back,
+and initialization fails.  If the whole window is infeasible the previous
+horizon is carried forward, shrunk by the wall time elapsed since it was
+committed, so the rendezvous instant stays fixed while tracking continues on
+the last trajectories.  Search stops producing trajectories once the horizon
+falls under a cutoff, which also keeps the unnormalized quintic coefficients
+away from their small-T blowup.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -86,11 +88,13 @@ class PlanResult:
     trajectories are re-solved for the countdown horizon without a new screen.
 
     screens counts the array screens of the cycle: none when the start
-    state is outside the altitude or velocity band, otherwise one or two.
-    probes counts the rows actually screened: every horizon of every
-    coarse-scan pass screened (a screen holds whole passes, also past their
-    first feasible horizon) plus every bisection midpoint screened
-    speculatively, whether or not the bisection reaches it.  passes counts
+    state is outside the altitude or velocity band, one when the first
+    coarse pass has a feasible horizon, otherwise two.  probes counts the
+    rows actually screened: every horizon of every coarse-scan pass screened
+    (a screen holds whole passes, also past their first feasible horizon)
+    plus every bisection midpoint screened speculatively under each of those
+    horizons, whether or not the bisection reaches it; a FALLBACK cycle so
+    also counts the first pass's midpoints.  passes counts
     the coarse-scan passes the search needed: up to the one whose hit it
     bisected, or all of them on a fallback.  lift_rows counts the screened
     rows that passed the altitude and velocity bounds and so had their lifts
@@ -191,23 +195,24 @@ def _scan_pass(T_l: float, T_r: float, stride: float) -> List[float]:
     return horizons
 
 
-def _coarse_passes(T_last: float) -> List[Tuple[float, List[float]]]:
+def _coarse_passes(T_last: float) -> Iterator[Tuple[float, List[float]]]:
     """(stride, horizons) of every coarse-scan pass over the window of T_last.
 
     The first pass walks [0.5 T_last, 1.5 T_last] at one fifth of its width;
     each later one halves the stride and starts one stride above the bottom,
-    until the stride drops under MIN_STRIDE.  The list follows from T_last
-    alone, so passes can be screened before earlier ones are decided.
+    until the stride drops under MIN_STRIDE.  The passes follow from T_last
+    alone, so they can be screened before earlier ones are decided; they are
+    built lazily, so a search that stops after the first builds no other.
     """
     T_base = 0.5 * T_last
     T_r = 1.5 * T_last
     stride = (T_r - T_base) / 5.0
-    passes = [(stride, _scan_pass(T_base, T_r, stride))]
+    yield stride, _scan_pass(T_base, T_r, stride)
     while True:
         stride *= 0.5
         if stride < MIN_STRIDE:
-            return passes
-        passes.append((stride, _scan_pass(T_base + stride, T_r, stride)))
+            return
+        yield stride, _scan_pass(T_base + stride, T_r, stride)
 
 
 def _grow_tree(T_l: float, T_r: float, mids: List[float], kids: List[Tuple[int, int]]) -> int:
@@ -248,40 +253,36 @@ def _search(
 ) -> Tuple[Optional[float], int, int, int, int]:
     """The window search of one cycle in at most two array screens.
 
+    Each screen holds a group of passes, in order, followed by every
+    midpoint the bisection of each of their horizons' brackets
+    [T - stride, T] can probe.  The first screen's group is the first pass;
+    the later passes are built, and screened as the second group, only when
+    it has no hit.  The first horizon of the group that passes the screen
+    wins, and its bisection walks the tree screened with it.
+
     Returns the horizon found (None if the window is infeasible), then the
     screens, probes, passes and lift_rows PlanResult reports.
     """
-    coarse = _coarse_passes(T_last)
-    stride, first = coarse[0]
-    ok, lifted = _screen_horizons(s0, pred, cond, first, c, params)
-    hits = np.flatnonzero(ok)
-    # brackets (pass, stride, upper end) the second screen can bisect, after
-    # the horizons in scan that decide which bracket it is
-    if hits.size:
-        brackets = [(1, stride, first[hits[0]])]
-        scan: List[float] = []
-    else:
-        brackets = [(k, stride, T) for k, (stride, horizons) in enumerate(coarse[1:], 2)
-                    for T in horizons]
+    numbered = enumerate(_coarse_passes(T_last), 1)
+    screens = probes = passes = lifted = 0
+    for group in ([next(numbered)], numbered):
+        # brackets (pass, stride, upper end), in scan order
+        brackets = [(k, stride, T) for k, (stride, horizons) in group for T in horizons]
+        if not brackets:
+            break
+        passes = brackets[-1][0]
         scan = [T for _, _, T in brackets]
-    mids: List[float] = []
-    kids: List[Tuple[int, int]] = []
-    roots = [_grow_tree(T - stride, T, mids, kids) for _, stride, T in brackets]
-    rows = scan + mids
-    ok, lifted_more = (_screen_horizons(s0, pred, cond, rows, c, params) if rows
-                       else (np.zeros(0, dtype=bool), 0))
-    screens, probes, lifted = 1 + bool(rows), len(first) + len(rows), lifted + lifted_more
-
-    if hits.size:
-        hit = 0
-    else:
-        later = np.flatnonzero(ok[:len(scan)])
-        if not later.size:
-            return None, screens, probes, len(coarse), lifted
-        hit = int(later[0])
-    passes, _, T_r = brackets[hit]
-    T = _walk_tree(T_r, roots[hit], mids, kids, ok[len(scan):])
-    return T, screens, probes, passes, lifted
+        mids: List[float] = []
+        kids: List[Tuple[int, int]] = []
+        roots = [_grow_tree(T - stride, T, mids, kids) for _, stride, T in brackets]
+        ok, lifted_here = _screen_horizons(s0, pred, cond, scan + mids, c, params)
+        screens, probes, lifted = screens + 1, probes + len(scan) + len(mids), lifted + lifted_here
+        hits = np.flatnonzero(ok[:len(scan)])
+        if hits.size:
+            hit = int(hits[0])
+            T = _walk_tree(scan[hit], roots[hit], mids, kids, ok[len(scan):])
+            return T, screens, probes, brackets[hit][0], lifted
+    return None, screens, probes, passes, lifted
 
 
 def plan(
@@ -301,9 +302,10 @@ def plan(
     tightens the bracket to 0.1 s, keeping the upper (feasible) end.
 
     The cycle takes at most two array screens and decides exactly what the
-    probe-by-probe search decides.  The first pass is screened alone.  If it
-    has a hit, the second screen holds every midpoint the bisection of its
-    bracket can probe.  If not, the second screen holds every later pass
+    probe-by-probe search decides.  The first screen holds the first pass
+    together with every midpoint the bisection of each of its horizons'
+    brackets can probe, so a hit there is bisected without another screen.
+    If the first pass has no hit, the second screen holds every later pass
     together with each of their horizons' bisection midpoints, and the
     first pass with a hit wins.  A start state outside the altitude or
     velocity band fails every horizon at its first sample, so it goes to

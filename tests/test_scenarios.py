@@ -89,6 +89,20 @@ def test_unknown_section_rejected(tmp_path):
         load_scenario(str(f))
 
 
+@pytest.mark.parametrize("text", [
+    "[DEFAULT]\nseed = 3\n[scenario]\nphi_s_deg = 47\n",
+    "[DEFAULT]\nseed = 3\n[scenario]\nphi_s_deg = 47\n[surface]\nkind = ramp\n",
+    "[DEFAULT]\n[scenario]\nphi_s_deg = 47\n",
+], ids=["scenario-only", "with-surface", "empty"])
+def test_default_section_rejected(text, tmp_path):
+    # configparser would copy [DEFAULT] keys into every section, so the same
+    # file would load or fail depending on which other sections it has
+    f = tmp_path / "s.ini"
+    f.write_text(text)
+    with pytest.raises(ScenarioError, match=r"unknown section \[DEFAULT\]"):
+        load_scenario(str(f))
+
+
 def test_missing_inclination_rejected(tmp_path):
     f = tmp_path / "s.ini"
     f.write_text("[scenario]\nseed = 1\n")

@@ -240,31 +240,53 @@ def test_batched_initialize_matches_reference():
 
 
 def test_fallback_work_counts_are_pinned():
-    # every pass of a FALLBACK cycle is screened whole, so the probe count
-    # equals the probe-by-probe loop's and there is one pass per stride level
+    # every pass of a FALLBACK cycle is screened whole, so its horizons are
+    # the probe-by-probe loop's probes and there is one pass per stride level;
+    # on top of them come the first pass's speculative midpoints: its 0.12 s
+    # stride takes one bisection step, one midpoint under each of 6 horizons
     res, ref = _assert_plan_matches_reference(0.6, FAR, SLOW, now=0.1)
-    assert (res.probes, res.passes) == (ref[4], ref[5])
-    assert (res.probes, res.passes) == (74, 4)
+    stride, first = next(perchsim.timesearch._coarse_passes(0.6))
+    assert len(first) == 6 and stride > BISECT_TOL >= 0.5 * stride
+    assert (res.probes, res.passes) == (ref[4] + len(first), ref[5])
+    assert (res.screens, res.probes, res.passes) == (2, 80, 4)
+
+
+# windows whose first hit sits in the first pass, in a later pass, or nowhere
+WINDOWS = [(float(T_last), pred, c) for T_last in np.linspace(0.45, 3.5, 23)
+           for pred, c in ((PRED, CONSTR), (FAR, SLOW))]
 
 
 def test_plan_matches_reference_across_windows():
-    # windows whose first hit sits in the first pass, in a later pass, or
-    # nowhere; no cycle takes more than two array screens
-    for T_last in np.linspace(0.45, 3.5, 23):
-        for pred, c in ((PRED, CONSTR), (FAR, SLOW)):
-            res, ref = _assert_plan_matches_reference(float(T_last), pred, c, now=0.05)
-            assert 1 <= res.screens <= 2
-            if res.outcome == FOUND:
-                assert res.passes == ref[5]
+    # no cycle takes more than two array screens
+    for T_last, pred, c in WINDOWS:
+        res, ref = _assert_plan_matches_reference(T_last, pred, c, now=0.05)
+        assert 1 <= res.screens <= 2
+        if res.outcome == FOUND:
+            assert res.passes == ref[5]
+
+
+def test_first_pass_hit_takes_one_screen():
+    # a hit in the first pass is bisected in the tree screened along with it;
+    # every other in-band cycle screens the later passes in a second screen
+    first_pass_hits = 0
+    for T_last, pred, c in WINDOWS:
+        res, _ = _assert_plan_matches_reference(T_last, pred, c, now=0.05)
+        if res.outcome == FOUND and res.passes == 1:
+            first_pass_hits += 1
+            assert res.screens == 1, T_last
+        else:
+            assert res.screens == 2, T_last
+    assert 0 < first_pass_hits < len(WINDOWS)
 
 
 def test_speculative_bisection_deep_tree_matches_reference():
     # the first pass hits at its bottom horizon and the 0.6 s bracket takes
-    # three halvings: the second screen holds the whole three-level tree
+    # three halvings; the one screen holds the pass's 6 horizons and, under
+    # each, the whole three-level tree of 1 + 2 + 4 midpoints
     res, ref = _assert_plan_matches_reference(3.0, PRED, CONSTR)
     assert res.outcome == FOUND and ref[5] == 1
     assert ref[4] == 1 + 3
-    assert (res.screens, res.passes, res.probes) == (2, 1, 6 + 7)
+    assert (res.screens, res.passes, res.probes) == (1, 1, 6 + 6 * 7)
 
 
 def test_tight_bracket_takes_one_screen(monkeypatch):
@@ -283,17 +305,23 @@ def test_speculative_bisection_after_halving_matches_reference():
     res, ref = _assert_plan_matches_reference(1.005, PRED, CONSTR)
     assert res.outcome == FOUND and res.passes == ref[5] == 2
     assert res.screens == 2
-    assert res.T not in perchsim.timesearch._coarse_passes(1.005)[1][1]
+    assert res.T not in list(perchsim.timesearch._coarse_passes(1.005))[1][1]
 
 
 def test_blocked_screen_matches_reference(monkeypatch):
-    # a screen longer than one block goes through block by block, in order
+    # a screen longer than one block goes through block by block, in order,
+    # and counts the same screens, rows and lift-stage rows as in one block
+    whole = {T_last: _assert_plan_matches_reference(T_last, PRED, CONSTR)[0]
+             for T_last in (0.905, 1.005, 3.0)}
     monkeypatch.setattr(perchsim.timesearch, "SCREEN_BLOCK", 4)
-    for T_last in (0.905, 1.005, 3.0):
+    for T_last, ref in whole.items():
         res, _ = _assert_plan_matches_reference(T_last, PRED, CONSTR)
         assert res.outcome == FOUND and res.probes > 4
+        assert (res.screens, res.probes, res.lift_rows) == (ref.screens, ref.probes, ref.lift_rows)
+    # the deep-tree cycle: one screen of 6 horizons and their 6 * 7 midpoints
+    assert (whole[3.0].screens, whole[3.0].probes) == (1, 48)
     res, _ = _assert_plan_matches_reference(0.6, FAR, SLOW, now=0.1)
-    assert res.outcome == FALLBACK and res.probes == 74
+    assert res.outcome == FALLBACK and (res.screens, res.probes) == (2, 80)
     st = initialize(S0, PRED, COND, CONSTR, PARAMS)
     assert st.T_last == _reference_initialize(S0, PRED, COND, CONSTR, PARAMS)
 
@@ -346,8 +374,10 @@ def _reference_planner_initialize(s0, pred, cond, c, params, clock, step, cap):
     return SearchState(T_last=T, T_e=clock(), clock=clock)
 
 
-@pytest.mark.parametrize("name", ["static_47.ini", "moving_90_forward.ini"])
+@pytest.mark.parametrize("name", ["static_47.ini", "moving_90_forward.ini",
+                                  "static_70.ini", "static_90.ini"])
 def test_episode_trace_matches_reference_planner(name, monkeypatch):
+    # the probe-by-probe search in place of the shipped screen layout
     path = Path(__file__).resolve().parent.parent / "scenarios" / name
     sc = replace(load_scenario(str(path)), seed=0)
     shipped = run_episode(sc)
@@ -357,6 +387,11 @@ def test_episode_trace_matches_reference_planner(name, monkeypatch):
     assert len(shipped.plans) == len(ref.plans) > 0
     for col in EpisodeTrace.COLUMNS:
         assert getattr(shipped.trace, col).tobytes() == getattr(ref.trace, col).tobytes(), col
+    for p, r in zip(shipped.plans, ref.plans):
+        assert (p.result.T, p.result.outcome) == (r.result.T, r.result.outcome)
+        if p.result.outcome == FOUND:
+            assert p.result.passes == r.result.passes
+            assert p.result.screens == (1 if p.result.passes == 1 else 2)
 
 
 # --- the two-stage screen inside the planner, against the one-pass screen
