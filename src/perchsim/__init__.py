@@ -46,7 +46,6 @@ from .minjerk import AxisBoundary, AxisTrajectory, InvalidHorizonError, OutOfDom
 from .scenarios import ScenarioError, load_scenario
 from .sim import BatchResult, EpisodeResult, EpisodeTrace, Scenario, SurfaceMotion, run_batch, run_episode
 from .surface import (
-    DegenerateFitError,
     InsufficientHistoryError,
     SurfacePrediction,
     SurfaceSample,
@@ -78,7 +77,7 @@ __all__ = [
     "ScenarioError", "load_scenario",
     "BatchResult", "EpisodeResult", "EpisodeTrace", "Scenario", "SurfaceMotion",
     "run_batch", "run_episode",
-    "DegenerateFitError", "InsufficientHistoryError", "SurfacePrediction",
+    "InsufficientHistoryError", "SurfacePrediction",
     "SurfaceSample", "SurfaceTrack", "fit",
     "PerchConditions", "TerminalStates", "default_conditions", "get_terminal_states",
     "FlatState", "InitializationFailedError", "PlanResult", "SearchState",

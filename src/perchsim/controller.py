@@ -19,8 +19,6 @@ import math
 from dataclasses import dataclass
 from typing import Tuple
 
-import numpy as np
-
 from .dynamics import GRAVITY, QuadParams, RotorCommand
 from .flatness import FreeFallSingularityError
 
@@ -49,45 +47,57 @@ class AttitudeThrustCmd:
 
 
 class TrackingController:
-    """Owns the integral state; one instance per tracked vehicle."""
+    """Owns the integral state; one instance per tracked vehicle.
+
+    The integral is a (y, z) pair of floats.
+    """
 
     def __init__(self, gains: ControllerGains = ControllerGains()):
         self.gains = gains
-        self.integral = np.zeros(2)
+        self.integral: Tuple[float, float] = (0.0, 0.0)
 
     def command(
         self,
-        ref_p: np.ndarray,
-        ref_v: np.ndarray,
-        ref_a: np.ndarray,
-        act_p: np.ndarray,
-        act_v: np.ndarray,
+        ref_p: Tuple[float, float],
+        ref_v: Tuple[float, float],
+        ref_a: Tuple[float, float],
+        act_p: Tuple[float, float],
+        act_v: Tuple[float, float],
         t: float,
         T: float,
         dt: float,
-    ) -> np.ndarray:
+    ) -> Tuple[float, float]:
         """Commanded (y, z) acceleration for reference sample (p, v, a) at time t.
 
-        Inside the terminal window t > T - delta_t the reference acceleration
-        is returned as-is (the integral is frozen there).  Otherwise the
+        Every argument pair and the result are (y, z) float pairs.  Inside
+        the terminal window t > T - delta_t the reference acceleration is
+        returned as-is (the integral is frozen there).  Otherwise the
         integral advances by e_p dt under the anti-windup clamp and each axis
         blends feedback with the weighted reference.
         """
         g = self.gains
-        ref_a = np.asarray(ref_a, dtype=float)
+        ay, az = ref_a
         if t > T - g.delta_t:
-            return ref_a
-        e_p = np.asarray(ref_p, dtype=float) - np.asarray(act_p, dtype=float)
-        e_v = np.asarray(ref_v, dtype=float) - np.asarray(act_v, dtype=float)
-        self.integral += e_p * dt
-        np.clip(self.integral, -g.i_limit, g.i_limit, out=self.integral)
-        fb = np.array(g.k_p) * e_p + np.array(g.k_v) * e_v
-        k_a = 1.0 / (1.0 + np.abs(fb) / (np.abs(ref_a) + 0.5))
-        return fb + np.array(g.k_i) * self.integral + k_a * ref_a
+            return (ay, az)
+        e_py = ref_p[0] - act_p[0]
+        e_pz = ref_p[1] - act_p[1]
+        e_vy = ref_v[0] - act_v[0]
+        e_vz = ref_v[1] - act_v[1]
+        lim = g.i_limit
+        iy, iz = self.integral
+        # np.clip's result, NaN and signed zeros included
+        iy = min(max(iy + e_py * dt, -lim), lim)
+        iz = min(max(iz + e_pz * dt, -lim), lim)
+        self.integral = (iy, iz)
+        fb_y = g.k_p[0] * e_py + g.k_v[0] * e_vy
+        fb_z = g.k_p[1] * e_pz + g.k_v[1] * e_vz
+        k_ay = 1.0 / (1.0 + abs(fb_y) / (abs(ay) + 0.5))
+        k_az = 1.0 / (1.0 + abs(fb_z) / (abs(az) + 0.5))
+        return (fb_y + g.k_i[0] * iy + k_ay * ay, fb_z + g.k_i[1] * iz + k_az * az)
 
 
 def acceleration_to_attitude_thrust(
-    cmd: np.ndarray, m: float, g: float = GRAVITY
+    cmd: Tuple[float, float], m: float, g: float = GRAVITY
 ) -> AttitudeThrustCmd:
     """Map a commanded (y, z) acceleration to thrust and roll.
 

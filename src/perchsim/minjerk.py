@@ -9,6 +9,7 @@ evaluator work elementwise, so both axes can also go through one call.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,11 +125,17 @@ def solve_axis(b: AxisBoundary, T) -> AxisTrajectory:
     columns and the trajectory holds one quintic per row.  Boundary fields
     of shape (2, n, 1), the y axis stacked over the z axis, solve both axes
     of every row in one call; each entry equals the float solve bit for bit.
+    A float T, as the flown pair of a plan has, is checked with math rather
+    than numpy.
 
     Raises:
         InvalidHorizonError: T (or any of its rows) <= 0 or not finite.
     """
-    if not (np.all(T > 0.0) and np.all(np.isfinite(T))):
+    if isinstance(T, float):
+        valid = T > 0.0 and math.isfinite(T)
+    else:
+        valid = np.all(T > 0.0) and np.all(np.isfinite(T))
+    if not valid:
         raise InvalidHorizonError(f"horizon must be positive and finite, got {T}")
     d_a = b.aT - b.a0
     d_v = b.vT - b.v0 - b.a0 * T

@@ -319,8 +319,9 @@ def run_episode(sc: Scenario) -> EpisodeResult:
             sc.surface_z0 + rng.normal(0.0, sc.noise_sigma),
         ))
 
+        # nothing reads the prediction once the planner has stopped
         pred = None
-        if len(track) >= 2:
+        if planner_active and len(track) >= 2:
             pred = fit(track, sc.predictor_window, sc.phi_s)
         if not detected and pred is not None and abs(pred.vy) >= sc.detect_threshold:
             detected = True
@@ -361,9 +362,8 @@ def run_episode(sc: Scenario) -> EpisodeResult:
         # trajectory starts at the measured state, so its tau = 0 sample is
         # the vehicle itself and tracking it would command a standstill
         if active is None:
-            ref_p = np.array([sc.quad_y0, sc.quad_z0])
-            ref_v = np.zeros(2)
-            ref_a = np.zeros(2)
+            ref_p = (float(sc.quad_y0), float(sc.quad_z0))
+            ref_v = ref_a = (0.0, 0.0)
             tau, T_active = control_dt, math.inf
         else:
             t_adopt, T_active, ty, tz = active
@@ -371,24 +371,23 @@ def run_episode(sc: Scenario) -> EpisodeResult:
             te = min(tau, T_active)
             py, vy, ay, _, _ = ty.eval(te)
             pz, vz, az, _, _ = tz.eval(te)
-            ref_p = np.array([py, pz])
-            ref_v = np.array([vy, vz])
-            ref_a = np.array([ay, az])
+            ref_p = (py, pz)
+            ref_v = (vy, vz)
+            ref_a = (ay, az)
 
         if tau > T_active:
             # past the end of the last trajectory: drop to a low-throttle
             # surface-aligned posture and wait for contact (pre-stall hold)
             f_stall = sc.stall_thrust * params.m * params.g
             att = AttitudeThrustCmd(f_stall, sc.phi_s)
-            cmd = np.array([
+            cmd = (
                 -f_stall * math.sin(sc.phi_s) / params.m,
                 f_stall * math.cos(sc.phi_s) / params.m - params.g,
-            ])
+            )
             phase = 2.0
         else:
-            act_p = np.array([state.y, state.z])
-            act_v = np.array([state.dy, state.dz])
-            cmd = controller.command(ref_p, ref_v, ref_a, act_p, act_v, tau, T_active, control_dt)
+            cmd = controller.command(ref_p, ref_v, ref_a, (state.y, state.z),
+                                     (state.dy, state.dz), tau, T_active, control_dt)
             att = acceleration_to_attitude_thrust(cmd, params.m, params.g)
             phase = 1.0 if tau > T_active - sc.gains.delta_t else 0.0
 

@@ -19,12 +19,39 @@ P = np.zeros(2)
 V = np.zeros(2)
 
 
+class ReferenceController:
+    """The outer loop on numpy 2-vectors, kept as the reference for the
+    float-pair TrackingController."""
+
+    def __init__(self, gains: ControllerGains = ControllerGains()):
+        self.gains = gains
+        self.integral = np.zeros(2)
+
+    def command(self, ref_p, ref_v, ref_a, act_p, act_v, t, T, dt):
+        g = self.gains
+        ref_a = np.asarray(ref_a, dtype=float)
+        if t > T - g.delta_t:
+            return ref_a
+        e_p = np.asarray(ref_p, dtype=float) - np.asarray(act_p, dtype=float)
+        e_v = np.asarray(ref_v, dtype=float) - np.asarray(act_v, dtype=float)
+        self.integral += e_p * dt
+        np.clip(self.integral, -g.i_limit, g.i_limit, out=self.integral)
+        fb = np.array(g.k_p) * e_p + np.array(g.k_v) * e_v
+        k_a = 1.0 / (1.0 + np.abs(fb) / (np.abs(ref_a) + 0.5))
+        return fb + np.array(g.k_i) * self.integral + k_a * ref_a
+
+
+def _bits(pair):
+    """The bit patterns of a (y, z) pair, so -0.0 and NaN compare exactly."""
+    return np.array([float(pair[0]), float(pair[1])]).tobytes()
+
+
 def test_zero_error_passes_reference_through():
     ctl = TrackingController()
     ref_a = np.array([1.0, -0.5])
     out = ctl.command(P, V, ref_a, P, V, t=0.2, T=2.0, dt=0.01)
     assert np.allclose(out, ref_a)
-    assert np.all(ctl.integral == 0.0)
+    assert ctl.integral == (0.0, 0.0)
 
 
 def test_terminal_window_is_pure_feedforward():
@@ -34,7 +61,7 @@ def test_terminal_window_is_pure_feedforward():
     out = ctl.command(P + big_err, V + big_err, ref_a, P, V, t=1.95, T=2.0, dt=0.01)
     # bitwise: the returned command must be exactly the reference sample
     assert out[0] == ref_a[0] and out[1] == ref_a[1]
-    assert np.all(ctl.integral == 0.0)  # frozen inside the window
+    assert ctl.integral == (0.0, 0.0)  # frozen inside the window
 
 
 def test_feedforward_weight_shrinks_with_feedback():
@@ -112,3 +139,45 @@ def test_pd_lifts_clamped():
     down = attitude_pd_lifts(AttitudeThrustCmd(f=0.5, phi=-2.0),
                              phi=2.0, dphi=0.0, params=params)
     assert down.F1 == 0.0
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_float_pairs_equal_reference(seed):
+    # seeded call sequences: errors large enough to clamp the integral at
+    # both limits, calls inside the handover window, dt = 0 and a signed zero
+    rng = np.random.default_rng(seed)
+    gains = ControllerGains(
+        k_p=tuple(rng.uniform(0.0, 10.0, 2)), k_v=tuple(rng.uniform(0.0, 6.0, 2)),
+        k_i=tuple(rng.uniform(0.0, 2.0, 2)), delta_t=rng.uniform(0.0, 0.3),
+        i_limit=rng.choice([0.0, 0.02, 0.5]))
+    ctl, ref = TrackingController(gains), ReferenceController(gains)
+    hit = {"upper": False, "lower": False, "window": False, "dt0": False}
+    T = 2.0
+    for k in range(400):
+        scale = rng.choice([0.0, 0.01, 1.0, 20.0])
+        pairs = [tuple(float(x) for x in rng.normal(0.0, scale, 2)) for _ in range(5)]
+        if k % 37 == 0:
+            pairs[0] = (-0.0, 0.0)
+        t = rng.uniform(0.0, T + 0.1)
+        dt = 0.0 if k % 11 == 0 else rng.choice([1.0 / 30.0, 0.3])
+        got = ctl.command(*pairs, t, T, dt)
+        want = ref.command(*[np.array(p) for p in pairs], t, T, dt)
+        assert isinstance(got, tuple) and len(got) == 2
+        assert _bits(got) == _bits(want), k
+        assert _bits(ctl.integral) == _bits(ref.integral), k
+        lim = gains.i_limit
+        hit["upper"] |= lim > 0.0 and lim in ctl.integral
+        hit["lower"] |= lim > 0.0 and -lim in ctl.integral
+        hit["window"] |= t > T - gains.delta_t
+        hit["dt0"] |= dt == 0.0
+    assert hit["window"] and hit["dt0"]
+    if gains.i_limit > 0.0:
+        assert hit["upper"] and hit["lower"]
+
+
+def test_handover_returns_the_reference_pair():
+    ctl = TrackingController()
+    out = ctl.command((1.0, 2.0), (0.5, 0.5), (0.25, -3.5), (0.0, 0.0), (0.0, 0.0),
+                      t=1.95, T=2.0, dt=0.01)
+    assert out == (0.25, -3.5)
+    assert ctl.integral == (0.0, 0.0)

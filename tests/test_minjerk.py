@@ -67,6 +67,24 @@ def test_eval_arrays_matches_eval():
 def test_invalid_horizon(bad_T):
     with pytest.raises(InvalidHorizonError):
         solve_axis(B, bad_T)
+    with pytest.raises(InvalidHorizonError):
+        solve_axis(B, np.float64(bad_T))
+    with pytest.raises(InvalidHorizonError):
+        solve_axis(B, np.array([[bad_T]]))
+
+
+def test_float_horizon_equals_one_row_column():
+    # the flown pair solves a float T; it must equal the screen's column
+    # solve of the same horizon bit for bit
+    rng = np.random.default_rng(5)
+    for _ in range(300):
+        b = AxisBoundary(*(float(x) for x in rng.normal(0.0, 3.0, 6)))
+        Ti = float(rng.choice([rng.uniform(0.05, 10.0), 1e-3, 0.4 + 0.05 * rng.integers(0, 190)]))
+        got = solve_axis(b, Ti)
+        col = solve_axis(b, np.array([[Ti]]))
+        for f in ("c1", "c2", "c3"):
+            assert np.array([getattr(got, f)]).tobytes() == getattr(col, f)[0].tobytes(), f
+        assert type(got.c1) is float and got.T == Ti
 
 
 def test_out_of_domain():

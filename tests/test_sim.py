@@ -20,6 +20,9 @@ from perchsim.sim import (
     run_batch,
     run_episode,
 )
+from perchsim.timesearch import STOPPED
+from test_controller import ReferenceController
+from test_surface import ReferenceTrack, reference_fit
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -262,6 +265,47 @@ def test_episode_trace_matches_reference_substeps(name, monkeypatch):
         assert getattr(shipped.trace, col).tobytes() == getattr(ref.trace, col).tobytes(), col
     for field in ("impact_t", "impact_phi_e", "impact_dV_Ys", "impact_dV_Zs", "impact_nu_s"):
         assert getattr(shipped, field) == getattr(ref, field), field
+
+
+@pytest.mark.parametrize("name", ["static_47.ini", "static_70.ini", "static_90.ini",
+                                  "moving_90_forward.ini"])
+def test_episode_trace_matches_reference_fit_and_controller(name, monkeypatch):
+    # the list track with np.polyfit and the numpy 2-vector controller,
+    # patched in for the array track, the one-lstsq fit and the float pairs
+    sc = replace(load_scenario(str(SCENARIOS / name)), seed=0)
+    shipped = run_episode(sc)
+    monkeypatch.setattr(perchsim.sim, "SurfaceTrack", ReferenceTrack)
+    monkeypatch.setattr(perchsim.sim, "fit", reference_fit)
+    monkeypatch.setattr(perchsim.sim, "TrackingController", ReferenceController)
+    ref = run_episode(sc)
+    assert shipped.impact_t is not None
+    assert (shipped.trace.phase == 1.0).any()          # handover ticks
+    for col in EpisodeTrace.COLUMNS:
+        assert getattr(shipped.trace, col).tobytes() == getattr(ref.trace, col).tobytes(), col
+    for field in ("impact_t", "impact_phi_e", "impact_dV_Ys", "impact_dV_Zs", "impact_nu_s",
+                  "impact_cup", "impact_cup_residual"):
+        assert getattr(shipped, field) == getattr(ref, field), field
+    assert [(p.t, p.result.T, p.result.outcome, p.result.probes) for p in shipped.plans] == [
+        (p.t, p.result.T, p.result.outcome, p.result.probes) for p in ref.plans]
+
+
+def test_fits_stop_with_the_planner(monkeypatch):
+    # every tick from the second fits until the planner stops; none after
+    fit_t = []
+    original = perchsim.sim.fit
+
+    def counting_fit(track, window, phi_s):
+        pred = original(track, window, phi_s)
+        fit_t.append(pred.t_fit)
+        return pred
+
+    monkeypatch.setattr(perchsim.sim, "fit", counting_fit)
+    res = run_episode(SC)
+    stops = [p.t for p in res.plans if p.result.outcome == STOPPED]
+    assert len(stops) == 1
+    ticks = res.trace.t
+    assert fit_t == list(ticks[1:np.searchsorted(ticks, stops[0]) + 1])
+    assert len(fit_t) < ticks.size - 1
 
 
 def test_impact_records_the_engaged_cup():
