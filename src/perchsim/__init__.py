@@ -36,13 +36,18 @@ from .gripper import (
     AdhesionModel,
     GripperGeometry,
     PerchEnvelope,
-    activation_force,
     adhesion_force,
-    contact_torque,
     judge_perch,
     select_cup,
 )
-from .minjerk import AxisBoundary, AxisTrajectory, InvalidHorizonError, OutOfDomainError, solve_axis
+from .minjerk import (
+    AxisBoundary,
+    AxisTrajectory,
+    FlatState,
+    InvalidHorizonError,
+    OutOfDomainError,
+    solve_axis,
+)
 from .scenarios import ScenarioError, load_scenario
 from .sim import BatchResult, EpisodeResult, EpisodeTrace, Scenario, SurfaceMotion, run_batch, run_episode
 from .surface import (
@@ -52,9 +57,8 @@ from .surface import (
     SurfaceTrack,
     fit,
 )
-from .terminal import PerchConditions, TerminalStates, default_conditions, get_terminal_states
+from .terminal import PerchConditions, default_conditions, get_terminal_states
 from .timesearch import (
-    FlatState,
     InitializationFailedError,
     PlanResult,
     SearchState,
@@ -71,15 +75,15 @@ __all__ = [
     "RotorCommand", "integrate", "rk4_step",
     "Constraints", "FeasibilityResult", "FreeFallSingularityError",
     "check_feasible", "flat_to_attitude", "flat_to_attitude_rate", "flat_to_lifts",
-    "AdhesionModel", "GripperGeometry", "PerchEnvelope", "activation_force",
-    "adhesion_force", "contact_torque", "judge_perch", "select_cup",
-    "AxisBoundary", "AxisTrajectory", "InvalidHorizonError", "OutOfDomainError", "solve_axis",
+    "AdhesionModel", "GripperGeometry", "PerchEnvelope",
+    "adhesion_force", "judge_perch", "select_cup",
+    "AxisBoundary", "AxisTrajectory", "FlatState", "InvalidHorizonError", "OutOfDomainError", "solve_axis",
     "ScenarioError", "load_scenario",
     "BatchResult", "EpisodeResult", "EpisodeTrace", "Scenario", "SurfaceMotion",
     "run_batch", "run_episode",
     "InsufficientHistoryError", "SurfacePrediction",
     "SurfaceSample", "SurfaceTrack", "fit",
-    "PerchConditions", "TerminalStates", "default_conditions", "get_terminal_states",
-    "FlatState", "InitializationFailedError", "PlanResult", "SearchState",
+    "PerchConditions", "default_conditions", "get_terminal_states",
+    "InitializationFailedError", "PlanResult", "SearchState",
     "initialize", "plan",
 ]

@@ -125,8 +125,8 @@ def attitude_pd_lifts(
     phi: float,
     dphi: float,
     params: QuadParams,
-    k_p_phi: float = 120.0,
-    k_d_phi: float = 22.0,
+    k_p_phi: float,
+    k_d_phi: float,
 ) -> RotorCommand:
     """Inner roll loop: realize a thrust/attitude command as pair lifts.
 

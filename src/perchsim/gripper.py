@@ -1,10 +1,10 @@
-"""Suction-cup gripper: activation and contact formulas plus outcome rules.
+"""Suction-cup gripper: which cup engages and whether the perch holds.
 
 The gripper is not simulated as a deformable body.  Its behavior enters the
-pipeline as algebra: the spring-lever activation force of a single cup, the
-contact torque acting on a touched cup, which of the three wheel-mounted cups
-engages for a given impact geometry, and an empirical success envelope that
-classifies an impact from its attitude error and relative velocity.
+pipeline as algebra: which of the three wheel-mounted cups engages for a
+given impact geometry, an empirical success envelope that classifies an
+impact from its attitude error and relative velocity, and the adhesion the
+engaged cups can supply.
 """
 
 from __future__ import annotations
@@ -19,31 +19,14 @@ V_FAILURE = "V-failure"
 
 @dataclass(frozen=True)
 class GripperGeometry:
-    """Cup lever geometry, equivalent stiffness and wheel layout.
+    """Cup wheel layout: radius r_w, three cups spaced alpha_w apart."""
 
-    r_h and r_s are the release-lever and seal radii, R and r the outer and
-    inner cup radii, h_c the cup height and k the equivalent stiffness.  The
-    cup wheel has radius r_w with three cups spaced alpha_w apart;
-    delta_open is the gap at which the cup is considered open.
-    """
-
-    r_h: float = 0.004
-    r_s: float = 0.005
-    R: float = 0.015
-    r: float = 0.003
-    h_c: float = 0.004
-    k: float = 60.0
     r_w: float = 0.0657
     alpha_w: float = math.radians(30.0)
-    delta_open: float = 0.001
 
     def __post_init__(self):
-        if min(self.r_h, self.r_s, self.R, self.r, self.h_c, self.r_w) <= 0:
-            raise ValueError("all lengths must be positive")
-        if self.R <= self.r:
-            raise ValueError("outer radius must exceed inner radius")
-        if self.alpha_w <= 0:
-            raise ValueError("inter-cup angle must be positive")
+        if not (self.r_w > 0 and self.alpha_w > 0):
+            raise ValueError("wheel radius and inter-cup angle must be positive")
 
 
 @dataclass(frozen=True)
@@ -84,31 +67,7 @@ class AdhesionModel:
             raise ValueError("friction coefficient must be in (0, 1]")
 
 
-def activation_force(geom: GripperGeometry, delta: float) -> float:
-    """Normal force needed to hold the cup open at gap delta.
-
-    Affine in the gap: the release lever must deflect by delta plus the
-    r_h - r_s preload before the seal yields, against stiffness k over the
-    lever ratio (R - r) h_c.
-    """
-    return (delta + geom.r_h - geom.r_s) * geom.k / ((geom.R - geom.r) * geom.h_c)
-
-
-def contact_torque(F_N: float, l_N: float, F_f: float, l_f: float, n_dot_v: float) -> float:
-    """Torque on the touched cup center from normal and friction forces.
-
-    When the cup direction has a component along the relative velocity
-    (n_dot_v >= 0) friction assists the normal-force torque and the contact
-    reduces the angular error; otherwise friction opposes it.
-    """
-    if F_N < 0 or l_N < 0 or F_f < 0 or l_f < 0:
-        raise ValueError("forces and levers must be nonnegative")
-    if n_dot_v >= 0:
-        return F_N * l_N + F_f * l_f
-    return F_N * l_N - F_f * l_f
-
-
-def select_cup(nu: float, phi_e: float, alpha_w: float = math.radians(30.0)) -> Tuple[int, float]:
+def select_cup(nu: float, phi_e: float, alpha_w: float) -> Tuple[int, float]:
     """Engaged cup of the three-cup wheel for a given impact.
 
     The wheel rolls toward the tangential velocity, so the engaged cup is the

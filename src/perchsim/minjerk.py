@@ -5,6 +5,7 @@ minimizing the integral of squared jerk yields a quintic whose three free
 coefficients follow from the boundary mismatch in closed form.  Both motion
 axes use this solver independently and share one T; the solver and the
 evaluator work elementwise, so both axes can also go through one call.
+FlatState holds both axes' (p, v, a) at one end of such a pair.
 """
 
 from __future__ import annotations
@@ -37,6 +38,23 @@ class AxisBoundary:
     pT: float
     vT: float
     aT: float
+
+
+@dataclass(frozen=True)
+class FlatState:
+    """Flat-output state of the vehicle: position, velocity, acceleration.
+
+    A plan starts from one and ends at one.  For a column of horizons the
+    fields may be arrays: the terminal states of an (n, 1) column hold
+    arrays of that shape in the fields that depend on the horizon.
+    """
+
+    y: float
+    dy: float
+    ddy: float
+    z: float
+    dz: float
+    ddz: float
 
 
 @dataclass(frozen=True)

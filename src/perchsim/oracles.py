@@ -24,10 +24,10 @@ from .flatness import (
     flat_to_attitude_rate,
     flat_to_lifts,
 )
-from .minjerk import AxisBoundary, AxisTrajectory, solve_axis
+from .minjerk import AxisBoundary, AxisTrajectory, FlatState, solve_axis
 from .surface import SurfacePrediction
 from .terminal import PerchConditions, get_terminal_states
-from .timesearch import FlatState, _solve_pair
+from .timesearch import _solve_pair
 
 
 def hermite_quintic(b: AxisBoundary, T: float, ts: np.ndarray) -> np.ndarray:

@@ -26,11 +26,11 @@ from .controller import (
 from .dynamics import QuadParams, QuadState, rk4_step  # noqa: F401
 from .flatness import Constraints
 from .gripper import GripperGeometry, PerchEnvelope, judge_perch, select_cup
-from .minjerk import AxisTrajectory
+from .minjerk import AxisTrajectory, FlatState
 from .surface import SurfaceSample, SurfaceTrack, fit
 from .terminal import PerchConditions
 from . import timesearch
-from .timesearch import FlatState, InitializationFailedError, PlanResult, SearchState
+from .timesearch import InitializationFailedError, PlanResult, SearchState
 
 NO_CONTACT = "no-contact"
 
@@ -105,6 +105,8 @@ class Scenario:
     def __post_init__(self):
         if not 0 < self.control_rate < math.inf:
             raise ValueError("control_rate must be positive and finite")
+        if not self.predictor_window > 1.0 / self.control_rate:
+            raise ValueError("predictor_window must exceed one control period")
         if self.substeps < 1:
             raise ValueError("substeps must be at least 1")
         if not (math.isfinite(self.timeout) and self.n_ticks >= 1):
@@ -191,7 +193,6 @@ class BatchResult:
     success_rate: float
     avg_nu_s: Optional[float]
     solve_times: List[float]
-    impacts: List[Tuple[float, float, bool]]  # (dV_Ys, dV_Zs, success)
 
     @property
     def n(self) -> int:
@@ -437,14 +438,9 @@ def run_batch(sc: Scenario, n: int) -> BatchResult:
     n_success = sum(e.success for e in episodes)
     nus = [e.impact_nu_s for e in episodes if e.impact_nu_s is not None]
     solve_times = [s for e in episodes for s in e.solve_times]
-    impacts = [
-        (e.impact_dV_Ys, e.impact_dV_Zs, e.success)
-        for e in episodes if e.impact_dV_Ys is not None
-    ]
     return BatchResult(
         episodes=episodes,
         success_rate=n_success / n,
         avg_nu_s=(sum(nus) / len(nus)) if nus else None,
         solve_times=solve_times,
-        impacts=impacts,
     )

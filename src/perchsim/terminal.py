@@ -1,11 +1,13 @@
 """Terminal states for perching on an inclined, possibly moving surface.
 
-The rendezvous state is built in the surface frame: a commanded relative
-velocity (tangential, normal) and a standoff distance along the surface
-normal, rotated into the world frame and added to the predicted surface
-motion.  Terminal accelerations are chosen so the vehicle arrives with its
-attitude matching the surface inclination while thrusting exactly its own
-weight, which makes the final attitude command continuous at handover.
+The rendezvous state is the FlatState a plan ends at, the same flat-output
+form as the state it starts from.  It is built in the surface frame: a
+commanded relative velocity (tangential, normal) and a standoff distance
+along the surface normal, rotated into the world frame and added to the
+predicted surface motion.  Terminal accelerations are chosen so the vehicle
+arrives with its attitude matching the surface inclination while thrusting
+exactly its own weight, which makes the final attitude command continuous at
+handover.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from dataclasses import dataclass
 from typing import Dict, Tuple
 
 from .dynamics import GRAVITY
+from .minjerk import FlatState
 from .surface import SurfacePrediction
 
 
@@ -34,23 +37,6 @@ class PerchConditions:
     dV_Ys: float
     dV_Zs: float
     l_Zs: float
-
-
-@dataclass(frozen=True)
-class TerminalStates:
-    """World-frame rendezvous state at the end of the horizon.
-
-    For an array of horizons, the fields that depend on the horizon (y,
-    under the affine surface prediction) are arrays of its shape; the
-    others stay floats.
-    """
-
-    y: float
-    z: float
-    dy: float
-    dz: float
-    ddy: float
-    ddz: float
 
 
 #: (motion, inclination deg) -> conditions, following the reported campaigns:
@@ -77,7 +63,7 @@ def default_conditions(motion: str, inclination_deg: float) -> PerchConditions:
         raise KeyError(f"no default perch conditions for {key}") from None
 
 
-def get_terminal_states(p: SurfacePrediction, horizon, cond: PerchConditions) -> TerminalStates:
+def get_terminal_states(p: SurfacePrediction, horizon, cond: PerchConditions) -> FlatState:
     """Terminal state at `horizon` seconds ahead of the prediction anchor.
 
     Velocities add the commanded surface-frame relative velocity, rotated by
@@ -91,7 +77,7 @@ def get_terminal_states(p: SurfacePrediction, horizon, cond: PerchConditions) ->
     y_s, dy_s, z_s, dz_s = p.predict(horizon)
     phi = p.phi_s
     s, c = math.sin(phi), math.cos(phi)
-    return TerminalStates(
+    return FlatState(
         y=y_s - cond.l_Zs * s,
         z=z_s + cond.l_Zs * c,
         dy=dy_s + cond.dV_Ys * c - cond.dV_Zs * s,

@@ -32,9 +32,9 @@ from .dynamics import QuadParams
 # check_feasible stays importable from here: perfbench/tracing.py rebinds it
 # by this name to time the screen layer
 from .flatness import Constraints, check_feasible, feasible_rows, state_in_band  # noqa: F401
-from .minjerk import AxisBoundary, AxisTrajectory, solve_axis
+from .minjerk import AxisBoundary, AxisTrajectory, FlatState, solve_axis
 from .surface import SurfacePrediction
-from .terminal import PerchConditions, TerminalStates, get_terminal_states
+from .terminal import PerchConditions, get_terminal_states
 
 #: horizons below this are not worth tracking; also the small-T guard
 STOP_CUTOFF = 0.4
@@ -55,18 +55,6 @@ class InitializationFailedError(RuntimeError):
     """No feasible horizon exists within the initialization cap."""
 
 
-@dataclass(frozen=True)
-class FlatState:
-    """Flat-output state of the vehicle: position, velocity, acceleration."""
-
-    y: float
-    dy: float
-    ddy: float
-    z: float
-    dz: float
-    ddz: float
-
-
 @dataclass
 class SearchState:
     """Carries the committed horizon between planning cycles."""
@@ -74,7 +62,6 @@ class SearchState:
     T_last: float
     T_e: float
     clock: Callable[[], float]
-    initialized: bool = True
 
 
 @dataclass(frozen=True)
@@ -103,7 +90,7 @@ class PlanResult:
 
     T: float
     outcome: str
-    terminal: Optional[TerminalStates]
+    terminal: Optional[FlatState]
     trajectories: Optional[Tuple[AxisTrajectory, AxisTrajectory]]
     solve_time: float
     probes: int = 0
@@ -112,7 +99,7 @@ class PlanResult:
     lift_rows: int = 0
 
 
-def _solve_pair(s0: FlatState, sT: TerminalStates, T) -> Tuple[AxisTrajectory, AxisTrajectory]:
+def _solve_pair(s0: FlatState, sT: FlatState, T) -> Tuple[AxisTrajectory, AxisTrajectory]:
     ty = solve_axis(AxisBoundary(s0.y, s0.dy, s0.ddy, sT.y, sT.dy, sT.ddy), T)
     tz = solve_axis(AxisBoundary(s0.z, s0.dz, s0.ddz, sT.z, sT.dz, sT.ddz), T)
     return ty, tz
@@ -311,8 +298,6 @@ def plan(
     velocity band fails every horizon at its first sample, so it goes to
     the fallback with no screen at all.
     """
-    if not state.initialized:
-        raise ValueError("search state is not initialized")
     t_start = time.perf_counter()
 
     T_found, screens, probes, passes, lifted = None, 0, 0, 0, 0

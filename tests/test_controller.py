@@ -121,23 +121,27 @@ def test_free_fall_command_rejected():
 def test_pd_lifts_split_and_recombine():
     params = QuadParams(m=0.945)
     att = AttitudeThrustCmd(f=9.0, phi=0.1)
-    cmd = attitude_pd_lifts(att, phi=0.0, dphi=0.0, params=params)
+    cmd = attitude_pd_lifts(att, phi=0.0, dphi=0.0, params=params,
+                            k_p_phi=120.0, k_d_phi=22.0)
     diff = (params.J / params.d_s) * 120.0 * 0.1
     assert cmd.F1 + cmd.F2 == pytest.approx(9.0, rel=1e-12)
     assert cmd.F1 - cmd.F2 == pytest.approx(diff, rel=1e-12)
     # damping opposes roll rate
-    cmd2 = attitude_pd_lifts(att, phi=0.0, dphi=5.0, params=params)
+    cmd2 = attitude_pd_lifts(att, phi=0.0, dphi=5.0, params=params,
+                             k_p_phi=120.0, k_d_phi=22.0)
     assert cmd2.F1 - cmd2.F2 < cmd.F1 - cmd.F2
 
 
 def test_pd_lifts_clamped():
     params = QuadParams(m=0.945)
     att = AttitudeThrustCmd(f=100.0, phi=2.0)
-    cmd = attitude_pd_lifts(att, phi=-2.0, dphi=0.0, params=params)
+    cmd = attitude_pd_lifts(att, phi=-2.0, dphi=0.0, params=params,
+                            k_p_phi=120.0, k_d_phi=22.0)
     assert cmd.F1 == params.F_max
     assert 0.0 <= cmd.F2 <= params.F_max
     down = attitude_pd_lifts(AttitudeThrustCmd(f=0.5, phi=-2.0),
-                             phi=2.0, dphi=0.0, params=params)
+                             phi=2.0, dphi=0.0, params=params,
+                             k_p_phi=120.0, k_d_phi=22.0)
     assert down.F1 == 0.0
 
 

@@ -1,4 +1,4 @@
-"""Cup activation, contact selection and the impact outcome rules."""
+"""Engaged-cup selection, the impact outcome rules and cup adhesion."""
 
 import math
 
@@ -10,30 +10,12 @@ from perchsim.gripper import (
     AdhesionModel,
     GripperGeometry,
     PerchEnvelope,
-    activation_force,
     adhesion_force,
-    contact_torque,
     judge_perch,
     select_cup,
 )
 
-GEOM = GripperGeometry()
 ALPHA = math.radians(30.0)
-
-
-def test_activation_force_preload_cancels_at_one_mm():
-    # the lever preload r_h - r_s = -1 mm exactly offsets a 1 mm gap
-    assert activation_force(GEOM, 0.001) == pytest.approx(0.0, abs=1e-12)
-    assert activation_force(GEOM, 0.002) == pytest.approx(1250.0, rel=1e-12)
-
-
-def test_activation_force_is_affine():
-    f1 = activation_force(GEOM, 0.002)
-    f2 = activation_force(GEOM, 0.003)
-    f3 = activation_force(GEOM, 0.004)
-    assert f3 - f2 == pytest.approx(f2 - f1, rel=1e-9)
-    slope = GEOM.k / ((GEOM.R - GEOM.r) * GEOM.h_c)
-    assert f2 - f1 == pytest.approx(slope * 0.001, rel=1e-9)
 
 
 def test_adhesion_two_cups():
@@ -47,31 +29,21 @@ def test_adhesion_two_cups():
         adhesion_force(AdhesionModel(), n_cups=0)
 
 
-def test_contact_torque_friction_sign():
-    assisting = contact_torque(10.0, 0.02, 3.0, 0.01, n_dot_v=0.4)
-    opposing = contact_torque(10.0, 0.02, 3.0, 0.01, n_dot_v=-0.4)
-    assert assisting == pytest.approx(10.0 * 0.02 + 3.0 * 0.01)
-    assert opposing == pytest.approx(10.0 * 0.02 - 3.0 * 0.01)
-    assert contact_torque(10.0, 0.02, 3.0, 0.01, 0.0) == assisting
-    with pytest.raises(ValueError):
-        contact_torque(-1.0, 0.02, 3.0, 0.01, 0.4)
-
-
 def test_select_cup_nearest_offset():
-    assert select_cup(0.0, 0.0) == (0, 0.0)
-    idx, resid = select_cup(0.0, math.radians(25.0))
+    assert select_cup(0.0, 0.0, ALPHA) == (0, 0.0)
+    idx, resid = select_cup(0.0, math.radians(25.0), ALPHA)
     assert idx == 1
     assert resid == pytest.approx(math.radians(-5.0), abs=1e-12)
-    idx, resid = select_cup(0.0, math.radians(-20.0))
+    idx, resid = select_cup(0.0, math.radians(-20.0), ALPHA)
     assert idx == -1
     assert resid == pytest.approx(math.radians(10.0), abs=1e-12)
 
 
 def test_select_cup_tie_follows_rolling_direction():
     half = ALPHA / 2.0
-    assert select_cup(0.0, half)[0] == 0      # at rest the center cup wins
-    assert select_cup(0.5, half)[0] == 1      # rolling up takes the upper cup
-    assert select_cup(-0.5, -half)[0] == -1   # rolling down takes the lower
+    assert select_cup(0.0, half, ALPHA)[0] == 0      # at rest the center cup wins
+    assert select_cup(0.5, half, ALPHA)[0] == 1      # rolling up takes the upper cup
+    assert select_cup(-0.5, -half, ALPHA)[0] == -1   # rolling down takes the lower
 
 
 def test_judge_perch_regions():
@@ -104,9 +76,7 @@ def test_judge_perch_boundary_inclusive():
 
 def test_geometry_validation():
     with pytest.raises(ValueError):
-        GripperGeometry(R=0.002)            # outer radius under inner
-    with pytest.raises(ValueError):
-        GripperGeometry(h_c=0.0)
+        GripperGeometry(r_w=0.0)
     with pytest.raises(ValueError):
         GripperGeometry(alpha_w=-1.0)
 

@@ -337,6 +337,14 @@ def test_values_that_cannot_run_are_rejected(section, key, raw, message, tmp_pat
         load_scenario(f)
 
 
+@pytest.mark.parametrize("raw", ["0.02", "0.0", "nan", repr(1.0 / 30.0)])
+def test_window_without_two_samples_is_a_scenario_error(raw, tmp_path):
+    f = _write_ini(tmp_path / "s.ini", {("scenario", "phi_s_deg"): "47",
+                                        ("harness", "predictor_window"): raw})
+    with pytest.raises(ScenarioError, match="predictor_window"):
+        load_scenario(f)
+
+
 def test_vehicle_ceiling_zero_still_means_the_weight(tmp_path):
     f = _write_ini(tmp_path / "s.ini", {("scenario", "phi_s_deg"): "47", ("quad", "f_max"): "0"})
     sc = load_scenario(f)

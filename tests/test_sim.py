@@ -115,7 +115,6 @@ def test_batch_offsets_seeds_and_aggregates():
     assert _traces_equal(batch.episodes[1].trace, solo.trace)
     n_ok = sum(e.success for e in batch.episodes)
     assert batch.success_rate == n_ok / 3
-    assert len(batch.impacts) == sum(e.impact_t is not None for e in batch.episodes)
     assert len(batch.solve_times) == sum(len(e.solve_times) for e in batch.episodes)
     with pytest.raises(ValueError):
         run_batch(SC, 0)
@@ -344,6 +343,21 @@ def test_surface_motion_validation():
 def test_scenario_rejects_settings_that_cannot_run(change):
     with pytest.raises(ValueError):
         replace(SC, **change)
+
+
+@pytest.mark.parametrize("window", [0.02, 0.0, math.nan, 1.0 / 30.0])
+def test_scenario_rejects_a_window_without_two_samples(window):
+    # at 30 Hz a window of one control period or less holds one sample, and
+    # the first fit of the episode would raise InsufficientHistoryError
+    with pytest.raises(ValueError, match="predictor_window"):
+        replace(SC, predictor_window=window)
+
+
+def test_window_just_over_one_control_period_runs():
+    sc = load_scenario(str(SCENARIOS / "moving_90_forward.ini"))
+    assert sc.timeout == 10.0
+    res = run_episode(replace(sc, predictor_window=1.001 / sc.control_rate))
+    assert res.plans
 
 
 def test_trace_columns_are_the_fields_in_order():

@@ -17,7 +17,7 @@ from perchsim.oracles import brute_force_min_time
 from perchsim.scenarios import load_scenario
 from perchsim.sim import EpisodeTrace, run_episode
 from perchsim.surface import SurfacePrediction
-from perchsim.terminal import default_conditions, get_terminal_states
+from perchsim.terminal import PerchConditions, get_terminal_states
 from perchsim.timesearch import (
     SCREEN_BLOCK,
     BISECT_TOL,
@@ -41,7 +41,7 @@ PARAMS = QuadParams(m=0.945)
 CONSTR = Constraints(z_min=-2.0, z_max=5.0, v_min=-2.5, v_max=2.5,
                      F_max=PARAMS.F_max, n_samples=50)
 PRED = SurfacePrediction(y0=2.2, vy=0.0, z0=1.0, phi_s=math.radians(70), t_fit=0.0)
-COND = default_conditions("static", 70)
+COND = PerchConditions(0.3, -0.5, 0.25)
 S0 = FlatState(y=0.0, dy=0.0, ddy=0.0, z=1.2, dz=0.0, ddz=0.0)
 
 
@@ -54,7 +54,6 @@ def _feasible_at(T):
 
 def test_initialize_commits_first_feasible_probe():
     st = initialize(S0, PRED, COND, CONSTR, PARAMS)
-    assert st.initialized
     k = round(st.T_last / 0.1)
     assert st.T_last == pytest.approx(0.1 * k, abs=1e-12)
     assert _feasible_at(st.T_last)
@@ -136,12 +135,6 @@ def test_fallback_counts_down_then_stops():
     assert res2.outcome == STOPPED
     assert res2.trajectories is None
     assert res2.terminal is None
-
-
-def test_uninitialized_state_rejected():
-    st = SearchState(T_last=1.0, T_e=0.0, clock=lambda: 0.0, initialized=False)
-    with pytest.raises(ValueError):
-        plan(st, S0, PRED, COND, CONSTR, PARAMS)
 
 
 # --- the probe-by-probe search, kept here as the reference for the batched one
