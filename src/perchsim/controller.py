@@ -25,15 +25,16 @@ from .flatness import FreeFallSingularityError
 
 @dataclass(frozen=True)
 class ControllerGains:
-    """Per-axis (y, z) outer-loop gains and the handover window.
+    """Outer-loop gains and the handover window.
 
-    delta_t is the terminal pure-feedforward window length; i_limit clamps
-    each axis integral (anti-windup).
+    k_p, k_v and k_i are the position, velocity and integral gains, each
+    shared by the y and z axes.  delta_t is the terminal pure-feedforward
+    window length; i_limit clamps each axis integral (anti-windup).
     """
 
-    k_p: Tuple[float, float] = (6.0, 6.0)
-    k_v: Tuple[float, float] = (4.0, 4.0)
-    k_i: Tuple[float, float] = (0.5, 0.5)
+    k_p: float = 6.0
+    k_v: float = 4.0
+    k_i: float = 0.5
     delta_t: float = 0.1
     i_limit: float = 0.5
 
@@ -73,7 +74,8 @@ class TrackingController:
         the terminal window t > T - delta_t the reference acceleration is
         returned as-is (the integral is frozen there).  Otherwise the
         integral advances by e_p dt under the anti-windup clamp and each axis
-        blends feedback with the weighted reference.
+        blends feedback, under the gains both axes share, with the weighted
+        reference.
         """
         g = self.gains
         ay, az = ref_a
@@ -89,16 +91,14 @@ class TrackingController:
         iy = min(max(iy + e_py * dt, -lim), lim)
         iz = min(max(iz + e_pz * dt, -lim), lim)
         self.integral = (iy, iz)
-        fb_y = g.k_p[0] * e_py + g.k_v[0] * e_vy
-        fb_z = g.k_p[1] * e_pz + g.k_v[1] * e_vz
+        fb_y = g.k_p * e_py + g.k_v * e_vy
+        fb_z = g.k_p * e_pz + g.k_v * e_vz
         k_ay = 1.0 / (1.0 + abs(fb_y) / (abs(ay) + 0.5))
         k_az = 1.0 / (1.0 + abs(fb_z) / (abs(az) + 0.5))
-        return (fb_y + g.k_i[0] * iy + k_ay * ay, fb_z + g.k_i[1] * iz + k_az * az)
+        return (fb_y + g.k_i * iy + k_ay * ay, fb_z + g.k_i * iz + k_az * az)
 
 
-def acceleration_to_attitude_thrust(
-    cmd: Tuple[float, float], m: float, g: float = GRAVITY
-) -> AttitudeThrustCmd:
+def acceleration_to_attitude_thrust(cmd: Tuple[float, float], m: float) -> AttitudeThrustCmd:
     """Map a commanded (y, z) acceleration to thrust and roll.
 
     Roll comes from the lateral share of the desired specific force
@@ -111,7 +111,7 @@ def acceleration_to_attitude_thrust(
         FreeFallSingularityError: the commanded specific force vanishes.
     """
     ay, az = float(cmd[0]), float(cmd[1])
-    vz = az + g
+    vz = az + GRAVITY
     norm = math.sqrt(ay * ay + vz * vz)
     if norm <= 1e-12:
         raise FreeFallSingularityError("thrust direction undefined in free fall")

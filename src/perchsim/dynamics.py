@@ -26,24 +26,24 @@ class QuadParams:
         m: total mass in kg.
         J: roll inertia about the body x axis in kg m^2.
         d_s: lever arm from center of mass to each rotor pair in m.
-        g: gravitational acceleration, m/s^2.
         F_max: lift ceiling per rotor pair in N.
+
+    Gravity is not a parameter: every model reads GRAVITY.
     """
 
     m: float
     J: float = 0.01
     d_s: float = 0.0792
-    g: float = GRAVITY
     F_max: float = 0.0
 
     def __post_init__(self):
-        if self.m <= 0 or self.J <= 0 or self.d_s <= 0:
+        if not (self.m > 0 and self.J > 0 and self.d_s > 0):
             raise ValueError("mass, inertia and lever arm must be positive")
         if not self.F_max >= 0:
             raise ValueError("vehicle lift ceiling F_max must be nonnegative (0: the default)")
         if self.F_max == 0:
             # default ceiling: one pair can carry the whole weight
-            object.__setattr__(self, "F_max", self.m * self.g)
+            object.__setattr__(self, "F_max", self.m * GRAVITY)
 
 
 @dataclass
@@ -75,7 +75,7 @@ def derivative(state: QuadState, cmd: RotorCommand, params: QuadParams) -> Tuple
     Translational acceleration comes from the total lift rotated by phi minus
     gravity; roll acceleration from the differential lift times the lever arm.
     """
-    return _deriv_raw(*state.as_tuple(), cmd.F1, cmd.F2, params.m, params.g, params.d_s / params.J)
+    return _deriv_raw(*state.as_tuple(), cmd.F1, cmd.F2, params.m, GRAVITY, params.d_s / params.J)
 
 
 def _deriv_raw(y, z, dy, dz, phi, dphi, F1, F2, m, g, d_s_over_J):
@@ -102,7 +102,7 @@ def rk4_step(
     cmd_at is sampled at t, t + dt/2 and t + dt so a time-varying open-loop
     command is integrated at full fourth order.
     """
-    m, g, dsj = params.m, params.g, params.d_s / params.J
+    m, g, dsj = params.m, GRAVITY, params.d_s / params.J
     y, z, dy, dz, phi, dphi = state.as_tuple()
 
     c = cmd_at(t)

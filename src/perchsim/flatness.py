@@ -47,9 +47,9 @@ class Constraints:
     n_samples: int = 50
 
     def __post_init__(self):
-        if self.z_min >= self.z_max:
+        if not self.z_min < self.z_max:
             raise ValueError("z band is empty")
-        if self.v_min >= self.v_max:
+        if not self.v_min < self.v_max:
             raise ValueError("velocity band is empty")
         if not self.F_max > 0:
             raise ValueError("screen lift ceiling F_max must be positive")
@@ -68,7 +68,7 @@ class FeasibilityResult:
         return self.feasible
 
 
-def flat_to_attitude(ay: float, az: float, g: float = GRAVITY) -> float:
+def flat_to_attitude(ay: float, az: float) -> float:
     """Roll angle realizing a flat-output acceleration, in (-pi, pi].
 
     Uses the two-argument arctangent so attitudes beyond +-90 deg (thrust
@@ -77,19 +77,19 @@ def flat_to_attitude(ay: float, az: float, g: float = GRAVITY) -> float:
     Raises:
         FreeFallSingularityError: ay = 0 and az + g = 0.
     """
-    b = az + g
+    b = az + GRAVITY
     if abs(ay) <= _SINGULAR_EPS and abs(b) <= _SINGULAR_EPS:
         raise FreeFallSingularityError("attitude undefined in exact free fall")
     return -math.atan2(ay, b)
 
 
-def flat_to_attitude_rate(ay: float, az: float, jy: float, jz: float, g: float = GRAVITY) -> float:
+def flat_to_attitude_rate(ay: float, az: float, jy: float, jz: float) -> float:
     """Roll rate along a flat trajectory, from acceleration and jerk.
 
     Raises:
         FreeFallSingularityError: acceleration sits at the free-fall point.
     """
-    b = az + g
+    b = az + GRAVITY
     d = ay * ay + b * b
     if d <= _SINGULAR_EPS:
         raise FreeFallSingularityError("attitude rate undefined in exact free fall")
@@ -115,7 +115,7 @@ def flat_to_lifts(ay, az, jy, jz, sy, sz, params: QuadParams):
         FreeFallSingularityError: float inputs sit at the free-fall point.
     """
     a = ay
-    b = az + params.g
+    b = az + GRAVITY
     d = a * a + b * b
     if isinstance(d, float):
         if d <= _SINGULAR_EPS:

@@ -46,7 +46,8 @@ class PerchEnvelope:
     vn_max: float = -0.05
 
     def __post_init__(self):
-        if self.phi_e_min >= self.phi_e_max or self.vt_min >= self.vt_max or self.vn_min >= self.vn_max:
+        if not (self.phi_e_min < self.phi_e_max and self.vt_min < self.vt_max
+                and self.vn_min < self.vn_max):
             raise ValueError("each envelope pair needs min < max")
 
 

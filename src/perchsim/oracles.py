@@ -15,7 +15,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .dynamics import QuadParams, QuadState, RotorCommand, integrate, step_schedule
+from .dynamics import GRAVITY, QuadParams, QuadState, RotorCommand, integrate, step_schedule
 from .flatness import (
     Constraints,
     FreeFallSingularityError,
@@ -152,8 +152,8 @@ def roundtrip_position_error(
     _, _, az0, jz0, _ = traj_z.eval(0.0)
     state0 = QuadState(
         y=traj_y.p0, z=traj_z.p0, dy=traj_y.v0, dz=traj_z.v0,
-        phi=flat_to_attitude(ay0, az0, params.g),
-        dphi=flat_to_attitude_rate(ay0, az0, jy0, jz0, params.g),
+        phi=flat_to_attitude(ay0, az0),
+        dphi=flat_to_attitude_rate(ay0, az0, jy0, jz0),
     )
     _, hist = integrate(state0, lifts.__getitem__, 0.0, T, dt, params, record=True)
     t_hist = np.minimum(np.array([t for t, _ in hist]), T)
@@ -205,7 +205,7 @@ def roundtrip_suite(n: int = 100, seed: int = 20241, dt: float = 1e-4) -> dict:
     rng = np.random.default_rng(seed)
     params = QuadParams(m=0.945)
     c = Constraints(z_min=-50.0, z_max=50.0, v_min=-6.0, v_max=6.0,
-                    F_max=2.0 * params.m * params.g)
+                    F_max=2.0 * params.m * GRAVITY)
     max_err = 0.0
     count = 0
     while count < n:
@@ -232,7 +232,8 @@ def timesearch_suite(n: int = 100, seed: int = 20242) -> dict:
     planning cycle, and scans the same window exhaustively.  A found horizon
     must land within the bisection tolerance of the scan's first feasible
     horizon and its trajectories must pass the feasibility screen; a
-    fallback is consistent only when the scan also comes up empty.
+    fallback is consistent only when the scan also comes up empty.  Both
+    calls run at tick time 0, so a fallback keeps the initial horizon.
     """
     from .timesearch import BISECT_TOL, FOUND, initialize, plan
     from .timesearch import InitializationFailedError
@@ -255,12 +256,12 @@ def timesearch_suite(n: int = 100, seed: int = 20242) -> dict:
                        rng.uniform(0.9, 1.5), rng.uniform(-0.2, 0.2), 0.0)
         cond = PerchConditions(0.3, rng.uniform(-0.6, -0.1), rng.uniform(0.07, 0.33))
         try:
-            st = initialize(s0, pred, cond, c, params)
+            st = initialize(0.0, s0, pred, cond, c, params)
         except InitializationFailedError:
             continue
         count += 1
         lo, hi = 0.5 * st.T_last, 1.5 * st.T_last
-        res = plan(st, s0, pred, cond, c, params)
+        res = plan(st, 0.0, s0, pred, cond, c, params)
         brute = brute_force_min_time(s0, pred, cond, lo, hi, c, params)
         if res.outcome == FOUND:
             if brute is None or abs(res.T - brute) > BISECT_TOL:

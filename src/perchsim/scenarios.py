@@ -15,7 +15,7 @@ import configparser
 import math
 from collections import defaultdict
 from dataclasses import fields, replace
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from .controller import ControllerGains
 from .dynamics import QuadParams
@@ -29,15 +29,8 @@ class ScenarioError(ValueError):
     """A scenario file failed validation; the message names the culprit."""
 
 
-def _pair(raw: str) -> Tuple[float, float]:
-    parts = [p.strip() for p in raw.split(",")]
-    if len(parts) != 2:
-        raise ScenarioError(f"expected two comma-separated values (y, z), got {raw!r}")
-    return tuple(float(p) for p in parts)
-
-
 #: field annotation, as written (the config modules defer annotations) -> parser
-_CASTS = {"float": float, "int": int, "str": str, "Tuple[float, float]": _pair}
+_CASTS = {"float": float, "int": int, "str": str}
 
 
 def _keys(cls: type, names=None, **spelled: str) -> Dict[str, tuple]:
@@ -56,7 +49,7 @@ SCHEMA: Dict[str, Dict[str, tuple]] = {
     "scenario": _keys(Scenario, ["phi_s", "seed", "noise_sigma"], phi_s="phi_s_deg"),
     "surface": {**_keys(SurfaceMotion),
                 **_keys(Scenario, ["surface_y0", "surface_z0"], surface_y0="y0", surface_z0="z0")},
-    "quad": _keys(QuadParams, ["m", "J", "d_s", "F_max"]),  # g stays GRAVITY
+    "quad": _keys(QuadParams),
     "initial": _keys(Scenario, ["quad_y0", "quad_z0"], quad_y0="y", quad_z0="z"),
     "constraints": _keys(Constraints),
     "perch": _keys(PerchConditions),
@@ -104,9 +97,8 @@ def load_scenario(path: str, seed: Optional[int] = None) -> Scenario:
                 raw = cp.get(section, key)
                 try:
                     value = cast(raw)
-                except (TypeError, ValueError) as exc:
-                    detail = exc if isinstance(exc, ScenarioError) else f"cannot parse {raw!r}"
-                    raise ScenarioError(f"[{section}] {key}: {detail}") from exc
+                except ValueError as exc:
+                    raise ScenarioError(f"[{section}] {key}: cannot parse {raw!r}") from exc
                 kw[cls][name] = math.radians(value) if key.endswith("_deg") else value
         # the [perch] lookup reads the inclination as written, not back from radians
         phi_s_deg = float(cp.get("scenario", "phi_s_deg"))

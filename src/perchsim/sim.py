@@ -23,7 +23,7 @@ from .controller import (
     attitude_pd_lifts,
 )
 # nothing here calls rk4_step; perfbench/tracing.py rebinds it by this name
-from .dynamics import QuadParams, QuadState, rk4_step  # noqa: F401
+from .dynamics import GRAVITY, QuadParams, QuadState, rk4_step  # noqa: F401
 from .flatness import Constraints
 from .gripper import GripperGeometry, PerchEnvelope, judge_perch, select_cup
 from .minjerk import AxisTrajectory, FlatState
@@ -56,7 +56,7 @@ class SurfaceMotion:
             raise ValueError(f"unknown motion kind {self.kind!r}")
         if self.direction not in ("forward", "backward"):
             raise ValueError(f"unknown direction {self.direction!r}")
-        if self.kind == "ramp" and (self.v_target <= 0 or self.accel <= 0):
+        if self.kind == "ramp" and not (self.v_target > 0 and self.accel > 0):
             raise ValueError("ramp motion needs positive v_target and accel")
 
     def state(self, t: float, y0: float) -> Tuple[float, float]:
@@ -96,8 +96,6 @@ class Scenario:
     predictor_window: float = 0.5
     detect_threshold: float = 0.05  # fitted surface speed that counts as motion
     timeout: float = 8.0
-    init_step: float = 0.1
-    init_cap: float = 10.0
     k_p_phi: float = 120.0
     k_d_phi: float = 22.0
     stall_thrust: float = 0.4      # hover fraction held while waiting for contact
@@ -113,6 +111,8 @@ class Scenario:
             raise ValueError("timeout must be finite and last at least one control period")
         if not self.noise_sigma >= 0:
             raise ValueError("noise_sigma must be nonnegative")
+        if not self.detect_threshold >= 0:
+            raise ValueError("detect_threshold must be nonnegative")
 
     @property
     def n_ticks(self) -> int:
@@ -221,7 +221,7 @@ def _fly_period(
         contact time and the truth surface speed dy_s there).
     """
     p = sc.params
-    m, g, F_max = p.m, p.g, p.F_max
+    m, g, F_max = p.m, GRAVITY, p.F_max
     dsj = p.d_s / p.J
     jds = p.J / p.d_s
     k_p, k_d = sc.k_p_phi, sc.k_d_phi
@@ -295,9 +295,6 @@ def run_episode(sc: Scenario) -> EpisodeResult:
     controller = TrackingController(sc.gains)
     track = SurfaceTrack()
 
-    sim_t = [0.0]
-    clock = lambda: sim_t[0]
-
     search: Optional[SearchState] = None
     planner_active = True
     detected = sc.motion.kind == "static"
@@ -311,7 +308,6 @@ def run_episode(sc: Scenario) -> EpisodeResult:
 
     for k in range(sc.n_ticks):
         t = k * control_dt
-        sim_t[0] = t
 
         y_s_true, dy_s_true = sc.motion.state(t, sc.surface_y0)
         track.append(SurfaceSample(
@@ -344,12 +340,11 @@ def run_episode(sc: Scenario) -> EpisodeResult:
             if search is None:
                 try:
                     search = timesearch.initialize(
-                        s0, pred, sc.conditions, sc.constraints, params,
-                        clock=clock, step=sc.init_step, cap=sc.init_cap)
+                        t, s0, pred, sc.conditions, sc.constraints, params)
                 except InitializationFailedError:
                     search = None
             if search is not None:
-                result = timesearch.plan(search, s0, pred, sc.conditions, sc.constraints, params)
+                result = timesearch.plan(search, t, s0, pred, sc.conditions, sc.constraints, params)
                 solve_times.append(result.solve_time)
                 plans.append(PlanRecord(t, result))
                 plan_T = result.T
@@ -379,17 +374,17 @@ def run_episode(sc: Scenario) -> EpisodeResult:
         if tau > T_active:
             # past the end of the last trajectory: drop to a low-throttle
             # surface-aligned posture and wait for contact (pre-stall hold)
-            f_stall = sc.stall_thrust * params.m * params.g
+            f_stall = sc.stall_thrust * params.m * GRAVITY
             att = AttitudeThrustCmd(f_stall, sc.phi_s)
             cmd = (
                 -f_stall * math.sin(sc.phi_s) / params.m,
-                f_stall * math.cos(sc.phi_s) / params.m - params.g,
+                f_stall * math.cos(sc.phi_s) / params.m - GRAVITY,
             )
             phase = 2.0
         else:
             cmd = controller.command(ref_p, ref_v, ref_a, (state.y, state.z),
                                      (state.dy, state.dz), tau, T_active, control_dt)
-            att = acceleration_to_attitude_thrust(cmd, params.m, params.g)
+            att = acceleration_to_attitude_thrust(cmd, params.m)
             phase = 1.0 if tau > T_active - sc.gains.delta_t else 0.0
 
         applied = attitude_pd_lifts(att, state.phi, state.dphi, params, sc.k_p_phi, sc.k_d_phi)

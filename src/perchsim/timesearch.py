@@ -12,10 +12,11 @@ every bracket a hit there can open.  Each screen solves both axes of every
 row in one call (y stacked over z) and samples them in one evaluation.  A
 start state outside the altitude or velocity band fails every candidate at
 its first sample, so it is decided with no screen: the planner falls back,
-and initialization fails.  If the whole window is infeasible the previous
-horizon is carried forward, shrunk by the wall time elapsed since it was
-committed, so the rendezvous instant stays fixed while tracking continues on
-the last trajectories.  Search stops producing trajectories once the horizon
+and initialization fails.  Initialization scans T = INIT_STEP, 2 INIT_STEP,
+... up to INIT_CAP.  If the whole window is infeasible the previous horizon
+is carried forward, shrunk by the tick time elapsed since it was committed,
+so the rendezvous instant stays fixed while tracking continues on the last
+trajectories.  Search stops producing trajectories once the horizon
 falls under a cutoff, which also keeps the unnormalized quintic coefficients
 away from their small-T blowup.
 """
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -42,6 +43,9 @@ STOP_CUTOFF = 0.4
 BISECT_TOL = 0.1
 #: the scan stride is halved until it drops under this, then the pass gives up
 MIN_STRIDE = 0.01
+#: the initialization scan steps by INIT_STEP up to INIT_CAP
+INIT_STEP = 0.1
+INIT_CAP = 10.0
 #: an array screen evaluates at most this many horizons per numpy pass, which
 #: bounds its working set (about 2 MB at 50 samples) however long it is
 SCREEN_BLOCK = 200
@@ -57,11 +61,11 @@ class InitializationFailedError(RuntimeError):
 
 @dataclass
 class SearchState:
-    """Carries the committed horizon between planning cycles."""
+    """Carries the committed horizon and the tick time it was committed at
+    between planning cycles."""
 
     T_last: float
     T_e: float
-    clock: Callable[[], float]
 
 
 @dataclass(frozen=True)
@@ -142,32 +146,32 @@ def _screen_horizons(
 
 
 def initialize(
+    t: float,
     s0: FlatState,
     pred: SurfacePrediction,
     cond: PerchConditions,
     c: Constraints,
     params: QuadParams,
-    clock: Callable[[], float] = time.perf_counter,
-    step: float = 0.1,
-    cap: float = 10.0,
 ) -> SearchState:
-    """Seed the search with the first feasible horizon of a linear scan.
+    """Seed the search at tick time t with the first feasible horizon of a
+    linear scan.
 
-    Screens T = step, 2 step, ... up to cap as one array and commits the
-    first feasible horizon.  A start state outside the altitude or velocity
-    band makes every horizon infeasible, so it fails without a screen.
+    Screens T = INIT_STEP, 2 INIT_STEP, ... up to INIT_CAP as one array and
+    commits the first feasible horizon at t.  A start state outside the
+    altitude or velocity band makes every horizon infeasible, so it fails
+    without a screen.
 
     Raises:
         InitializationFailedError: the whole scan is infeasible; the caller
             is expected to retry on the next state update.
     """
     if state_in_band(s0.z, s0.dy, s0.dz, c):
-        n = int(round(cap / step))
-        horizons = [k * step for k in range(1, n + 1)]
+        n = int(round(INIT_CAP / INIT_STEP))
+        horizons = [k * INIT_STEP for k in range(1, n + 1)]
         hits = np.flatnonzero(_screen_horizons(s0, pred, cond, horizons, c, params)[0])
         if hits.size:
-            return SearchState(T_last=horizons[hits[0]], T_e=clock(), clock=clock)
-    raise InitializationFailedError(f"no feasible horizon up to {cap} s")
+            return SearchState(T_last=horizons[hits[0]], T_e=t)
+    raise InitializationFailedError(f"no feasible horizon up to {INIT_CAP} s")
 
 
 def _scan_pass(T_l: float, T_r: float, stride: float) -> List[float]:
@@ -274,13 +278,15 @@ def _search(
 
 def plan(
     state: SearchState,
+    t: float,
     s0: FlatState,
     pred: SurfacePrediction,
     cond: PerchConditions,
     c: Constraints,
     params: QuadParams,
 ) -> PlanResult:
-    """Run one minimum-time search cycle and update the committed horizon.
+    """Run one minimum-time search cycle at tick time t and update the
+    committed horizon.
 
     The search window is [0.5 T_last, 1.5 T_last].  A coarse scan walks the
     window at one fifth of its width; an empty pass halves the stride and
@@ -296,7 +302,8 @@ def plan(
     together with each of their horizons' bisection midpoints, and the
     first pass with a hit wins.  A start state outside the altitude or
     velocity band fails every horizon at its first sample, so it goes to
-    the fallback with no screen at all.
+    the fallback with no screen at all.  The fallback carries T_last
+    forward, shrunk by t - T_e, so the rendezvous instant stays fixed.
     """
     t_start = time.perf_counter()
 
@@ -305,15 +312,11 @@ def plan(
         T_found, screens, probes, passes, lifted = _search(
             state.T_last, s0, pred, cond, c, params)
 
-    now = state.clock()
     if T_found is not None:
-        T = T_found
-        outcome = FOUND
+        T, outcome = T_found, FOUND
     else:
-        T = state.T_last - (now - state.T_e)
-        outcome = FALLBACK
-    state.T_last = T
-    state.T_e = now
+        T, outcome = state.T_last - (t - state.T_e), FALLBACK
+    state.T_last, state.T_e = T, t
 
     if T < STOP_CUTOFF:
         return PlanResult(

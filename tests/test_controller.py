@@ -151,8 +151,8 @@ def test_float_pairs_equal_reference(seed):
     # both limits, calls inside the handover window, dt = 0 and a signed zero
     rng = np.random.default_rng(seed)
     gains = ControllerGains(
-        k_p=tuple(rng.uniform(0.0, 10.0, 2)), k_v=tuple(rng.uniform(0.0, 6.0, 2)),
-        k_i=tuple(rng.uniform(0.0, 2.0, 2)), delta_t=rng.uniform(0.0, 0.3),
+        k_p=rng.uniform(0.0, 10.0), k_v=rng.uniform(0.0, 6.0),
+        k_i=rng.uniform(0.0, 2.0), delta_t=rng.uniform(0.0, 0.3),
         i_limit=rng.choice([0.0, 0.02, 0.5]))
     ctl, ref = TrackingController(gains), ReferenceController(gains)
     hit = {"upper": False, "lower": False, "window": False, "dt0": False}

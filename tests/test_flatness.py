@@ -7,7 +7,7 @@ import pytest
 
 import perchsim.flatness
 import perchsim.timesearch
-from perchsim.dynamics import QuadParams
+from perchsim.dynamics import GRAVITY, QuadParams
 from perchsim.flatness import (
     ALTITUDE,
     LIFT,
@@ -25,7 +25,7 @@ from perchsim.flatness import (
 from perchsim.minjerk import AxisBoundary, AxisTrajectory, solve_axis
 
 PARAMS = QuadParams(m=0.945)
-G = PARAMS.g
+G = GRAVITY
 
 
 def test_attitude_level_flight():

@@ -10,6 +10,7 @@ import pytest
 
 from perchsim.dynamics import GRAVITY, QuadParams
 from perchsim.flatness import Constraints
+from perchsim.gripper import PerchEnvelope
 from perchsim.scenarios import SCHEMA, ScenarioError, load_scenario
 from perchsim.sim import Scenario, SurfaceMotion
 from perchsim.terminal import DEFAULT_PERCH_CONDITIONS, PerchConditions
@@ -18,11 +19,10 @@ SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
 #: file -> (motion key, inclination, roll k_p/k_d, v band, outer k_p/k_v, timeout, surface y0)
 CAMPAIGNS = {
-    "static_47.ini": ("static", 47, (450.0, 32.0), 2.6, ((6.0, 6.0), (4.0, 4.0)), 8.0, 2.2),
-    "static_70.ini": ("static", 70, (450.0, 32.0), 2.6, ((6.0, 6.0), (4.0, 4.0)), 8.0, 2.2),
-    "static_90.ini": ("static", 90, (320.0, 26.0), 2.6, ((6.0, 6.0), (4.0, 4.0)), 8.0, 2.2),
-    "moving_90_forward.ini": (
-        "forward", 90, (1200.0, 35.0), 2.4, ((12.0, 12.0), (8.0, 8.0)), 10.0, 2.5),
+    "static_47.ini": ("static", 47, (450.0, 32.0), 2.6, (6.0, 4.0), 8.0, 2.2),
+    "static_70.ini": ("static", 70, (450.0, 32.0), 2.6, (6.0, 4.0), 8.0, 2.2),
+    "static_90.ini": ("static", 90, (320.0, 26.0), 2.6, (6.0, 4.0), 8.0, 2.2),
+    "moving_90_forward.ini": ("forward", 90, (1200.0, 35.0), 2.4, (12.0, 8.0), 10.0, 2.5),
 }
 
 
@@ -54,7 +54,7 @@ def test_minimal_file_gets_neutral_defaults(tmp_path):
     assert sc.stall_thrust == 0.4
     assert sc.timeout == 8.0
     assert sc.surface_y0 == 2.2
-    assert sc.gains.k_p == (6.0, 6.0)
+    assert sc.gains.k_p == 6.0
     assert sc.noise_sigma == 0.001
 
 
@@ -118,10 +118,10 @@ def test_unparsable_value_named(tmp_path):
 
 
 def test_bad_gain_triple(tmp_path):
-    # gains are (y, z) pairs; a leftover x gain is an error, not ignored
+    # a gain is one value for both axes; a list of them is an error, not ignored
     f = tmp_path / "s.ini"
     f.write_text("[scenario]\nphi_s_deg = 47\n[gains]\nk_p = 1, 2, 3\n")
-    with pytest.raises(ScenarioError, match=r"k_p: expected two comma-separated"):
+    with pytest.raises(ScenarioError, match=r"\[gains\] k_p: cannot parse"):
         load_scenario(str(f))
 
 
@@ -172,9 +172,9 @@ SCHEMA_CASES = {
     ("perch", "dv_ys"): ("0.4", ("conditions", "dV_Ys"), 0.4),
     ("perch", "dv_zs"): ("-0.4", ("conditions", "dV_Zs"), -0.4),
     ("perch", "l_zs"): ("0.3", ("conditions", "l_Zs"), 0.3),
-    ("gains", "k_p"): ("7, 8", ("gains", "k_p"), (7.0, 8.0)),
-    ("gains", "k_v"): ("5, 6", ("gains", "k_v"), (5.0, 6.0)),
-    ("gains", "k_i"): ("0.6, 0.7", ("gains", "k_i"), (0.6, 0.7)),
+    ("gains", "k_p"): ("7", ("gains", "k_p"), 7.0),
+    ("gains", "k_v"): ("5", ("gains", "k_v"), 5.0),
+    ("gains", "k_i"): ("0.6", ("gains", "k_i"), 0.6),
     ("gains", "delta_t"): ("0.2", ("gains", "delta_t"), 0.2),
     ("gains", "i_limit"): ("0.6", ("gains", "i_limit"), 0.6),
     ("envelope", "phi_e_min_deg"): ("-20", ("envelope", "phi_e_min"), math.radians(-20.0)),
@@ -189,8 +189,6 @@ SCHEMA_CASES = {
     ("harness", "predictor_window"): ("0.6", ("predictor_window",), 0.6),
     ("harness", "detect_threshold"): ("0.06", ("detect_threshold",), 0.06),
     ("harness", "timeout"): ("9", ("timeout",), 9.0),
-    ("harness", "init_step"): ("0.2", ("init_step",), 0.2),
-    ("harness", "init_cap"): ("11", ("init_cap",), 11.0),
     ("harness", "k_p_phi"): ("130", ("k_p_phi",), 130.0),
     ("harness", "k_d_phi"): ("23", ("k_d_phi",), 23.0),
     ("harness", "stall_thrust"): ("0.5", ("stall_thrust",), 0.5),
@@ -234,7 +232,7 @@ def _flat_fields(obj, prefix=()):
 def test_schema_cases_cover_exactly_the_accepted_keys():
     accepted = {(s, k) for s, keys in SCHEMA.items() for k in keys}
     assert accepted == set(SCHEMA_CASES)
-    assert len(accepted) == 46
+    assert len(accepted) == 44
 
 
 @pytest.mark.parametrize("section,key", sorted(SCHEMA_CASES))
@@ -330,9 +328,52 @@ def test_non_text_file_is_a_scenario_error(tmp_path):
     ("quad", "f_max", "-5", "vehicle lift ceiling F_max"),
     ("constraints", "f_max", "0", "screen lift ceiling F_max"),
     ("constraints", "f_max", "-1", "screen lift ceiling F_max"),
+    # the initialization scan's step and cap are search constants now
+    ("harness", "init_step", "0.1", r"unknown key 'init_step' in section \[harness\]"),
+    ("harness", "init_cap", "10.0", r"unknown key 'init_cap' in section \[harness\]"),
+    # one gain per term, shared by both axes
+    ("gains", "k_p", "12, 12", r"\[gains\] k_p: cannot parse"),
 ])
 def test_values_that_cannot_run_are_rejected(section, key, raw, message, tmp_path):
     f = _write_ini(tmp_path / "s.ini", {("scenario", "phi_s_deg"): "47", (section, key): raw})
+    with pytest.raises(ScenarioError, match=message):
+        load_scenario(f)
+
+
+NAN = math.nan
+STATIC_47 = str(SCENARIO_DIR / "static_47.ini")
+
+#: a NaN compares False both ways, so every range check must reject it:
+#: name -> (dataclass built with the NaN, file keys that set it, message)
+NAN_CASES = {
+    "z_min": (lambda: Constraints(z_min=NAN, z_max=5.0, v_min=-4.0, v_max=4.0, F_max=9.0),
+              {("constraints", "z_min"): "nan"}, "z band is empty"),
+    "z_max": (lambda: Constraints(z_min=-2.0, z_max=NAN, v_min=-4.0, v_max=4.0, F_max=9.0),
+              {("constraints", "z_max"): "nan"}, "z band is empty"),
+    "v_max": (lambda: Constraints(z_min=-2.0, z_max=5.0, v_min=-4.0, v_max=NAN, F_max=9.0),
+              {("constraints", "v_max"): "nan"}, "velocity band is empty"),
+    "m": (lambda: QuadParams(m=NAN), {("quad", "m"): "nan"}, "must be positive"),
+    "d_s": (lambda: QuadParams(m=0.945, d_s=NAN), {("quad", "d_s"): "nan"}, "must be positive"),
+    "v_target": (lambda: SurfaceMotion(kind="ramp", v_target=NAN),
+                 {("surface", "kind"): "ramp", ("surface", "v_target"): "nan"},
+                 "ramp motion needs positive"),
+    "accel": (lambda: SurfaceMotion(kind="ramp", v_target=1.0, accel=NAN),
+              {("surface", "kind"): "ramp", ("surface", "v_target"): "1.0",
+               ("surface", "accel"): "nan"}, "ramp motion needs positive"),
+    "vn_min": (lambda: PerchEnvelope(vn_min=NAN), {("envelope", "vn_min"): "nan"},
+               "min < max"),
+    "detect_threshold": (
+        lambda: dataclasses.replace(load_scenario(STATIC_47), detect_threshold=NAN),
+        {("harness", "detect_threshold"): "nan"}, "detect_threshold must be nonnegative"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NAN_CASES))
+def test_nan_fails_the_range_checks(name, tmp_path):
+    build, keys, message = NAN_CASES[name]
+    with pytest.raises(ValueError, match=message):
+        build()
+    f = _write_ini(tmp_path / "s.ini", {("scenario", "phi_s_deg"): "47", **keys})
     with pytest.raises(ScenarioError, match=message):
         load_scenario(f)
 

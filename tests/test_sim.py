@@ -9,7 +9,7 @@ import pytest
 
 import perchsim.sim
 from perchsim.controller import AttitudeThrustCmd, attitude_pd_lifts
-from perchsim.dynamics import QuadState, rk4_step
+from perchsim.dynamics import GRAVITY, QuadState, rk4_step
 from perchsim.gripper import A_FAILURE, PerchEnvelope, select_cup
 from perchsim.scenarios import load_scenario
 from perchsim.sim import (
@@ -124,7 +124,7 @@ def _touches(sc, st, y_s, z_s):
     """_fly_period's contact decision for st against a static plane through
     (y_s, z_s), over one 1 ns substep that moves the vehicle by < 1e-17 m."""
     sc = replace(sc, motion=SurfaceMotion(), surface_y0=y_s, surface_z0=z_s, substeps=1)
-    att = AttitudeThrustCmd(sc.params.m * sc.params.g, st.phi)
+    att = AttitudeThrustCmd(sc.params.m * GRAVITY, st.phi)
     return _fly_period(st, att, sc, 0.0, 1e-9)[1] is not None
 
 

@@ -59,7 +59,7 @@ def test_terminal_acceleration_hands_over_cleanly(deg):
     cond = PerchConditions(0.3, -0.5, 0.2)
     ts = get_terminal_states(_pred(deg), 0.0, cond)
     m = 0.945
-    att = acceleration_to_attitude_thrust(np.array([ts.ddy, ts.ddz]), m, GRAVITY)
+    att = acceleration_to_attitude_thrust(np.array([ts.ddy, ts.ddz]), m)
     assert att.phi == pytest.approx(math.radians(deg), abs=1e-12)
     assert att.f == pytest.approx(m * GRAVITY, rel=1e-12)
 

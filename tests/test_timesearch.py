@@ -53,7 +53,7 @@ def _feasible_at(T):
 
 
 def test_initialize_commits_first_feasible_probe():
-    st = initialize(S0, PRED, COND, CONSTR, PARAMS)
+    st = initialize(0.0, S0, PRED, COND, CONSTR, PARAMS)
     k = round(st.T_last / 0.1)
     assert st.T_last == pytest.approx(0.1 * k, abs=1e-12)
     assert _feasible_at(st.T_last)
@@ -64,13 +64,13 @@ def test_initialize_failure_when_nothing_fits():
     tight = Constraints(z_min=-2.0, z_max=5.0, v_min=-0.1, v_max=0.1,
                         F_max=PARAMS.F_max, n_samples=50)
     with pytest.raises(InitializationFailedError):
-        initialize(S0, PRED, COND, tight, PARAMS, cap=2.0)
+        initialize(0.0, S0, PRED, COND, tight, PARAMS)
 
 
 def test_plan_found_tracks_brute_force():
-    st = initialize(S0, PRED, COND, CONSTR, PARAMS)
+    st = initialize(0.0, S0, PRED, COND, CONSTR, PARAMS)
     lo, hi = 0.5 * st.T_last, 1.5 * st.T_last
-    res = plan(st, S0, PRED, COND, CONSTR, PARAMS)
+    res = plan(st, 0.0, S0, PRED, COND, CONSTR, PARAMS)
     assert res.outcome == FOUND
     assert lo <= res.T <= hi
     ref = brute_force_min_time(S0, PRED, COND, lo, hi, CONSTR, PARAMS)
@@ -83,8 +83,8 @@ def test_plan_found_tracks_brute_force():
 
 
 def test_plan_found_endpoints():
-    st = initialize(S0, PRED, COND, CONSTR, PARAMS)
-    res = plan(st, S0, PRED, COND, CONSTR, PARAMS)
+    st = initialize(0.0, S0, PRED, COND, CONSTR, PARAMS)
+    res = plan(st, 0.0, S0, PRED, COND, CONSTR, PARAMS)
     ty, tz = res.trajectories
     assert ty.eval(0.0)[0] == pytest.approx(S0.y, abs=1e-9)
     assert tz.eval(0.0)[0] == pytest.approx(S0.z, abs=1e-9)
@@ -93,18 +93,16 @@ def test_plan_found_endpoints():
 
 
 def test_plan_found_updates_committed_state():
-    fake = [0.0]
-    st = SearchState(T_last=2.0, T_e=0.0, clock=lambda: fake[0])
-    fake[0] = 0.05
-    res = plan(st, S0, PRED, COND, CONSTR, PARAMS)
+    st = SearchState(T_last=2.0, T_e=0.0)
+    res = plan(st, 0.05, S0, PRED, COND, CONSTR, PARAMS)
     assert res.outcome == FOUND
     assert st.T_last == res.T
     assert st.T_e == 0.05
 
 
 def test_plan_is_deterministic():
-    a = plan(SearchState(2.0, 0.0, lambda: 0.0), S0, PRED, COND, CONSTR, PARAMS)
-    b = plan(SearchState(2.0, 0.0, lambda: 0.0), S0, PRED, COND, CONSTR, PARAMS)
+    a = plan(SearchState(2.0, 0.0), 0.0, S0, PRED, COND, CONSTR, PARAMS)
+    b = plan(SearchState(2.0, 0.0), 0.0, S0, PRED, COND, CONSTR, PARAMS)
     assert a.T == b.T
     assert a.trajectories[0] == b.trajectories[0]
     assert a.trajectories[1] == b.trajectories[1]
@@ -118,18 +116,16 @@ FAR = SurfacePrediction(y0=6.0, vy=0.0, z0=1.0, phi_s=math.radians(70), t_fit=0.
 
 def test_fallback_counts_down_then_stops():
     slow, far = SLOW, FAR
-    fake = [0.1]
-    st = SearchState(T_last=0.6, T_e=0.0, clock=lambda: fake[0])
+    st = SearchState(T_last=0.6, T_e=0.0)
 
-    res = plan(st, S0, far, COND, slow, PARAMS)
+    res = plan(st, 0.1, S0, far, COND, slow, PARAMS)
     assert res.outcome == FALLBACK
     assert res.T == pytest.approx(0.5, abs=1e-12)     # 0.6 minus 0.1 elapsed
     assert res.trajectories is not None
     assert res.terminal is not None
     assert st.T_last == res.T and st.T_e == 0.1
 
-    fake[0] = 0.25
-    res2 = plan(st, S0, far, COND, slow, PARAMS)
+    res2 = plan(st, 0.25, S0, far, COND, slow, PARAMS)
     assert res2.T == pytest.approx(0.35, abs=1e-12)   # under the cutoff now
     assert res2.T < STOP_CUTOFF
     assert res2.outcome == STOPPED
@@ -146,7 +142,8 @@ def _probe(s0, pred, cond, T, c, params):
     return bool(check_feasible(ty, tz, c, params))
 
 
-def _reference_initialize(s0, pred, cond, c, params, step=0.1, cap=10.0):
+def _reference_initialize(s0, pred, cond, c, params):
+    step, cap = 0.1, 10.0
     n = int(round(cap / step))
     for k in range(1, n + 1):
         T = k * step
@@ -196,7 +193,7 @@ def _reference_plan(T_last, T_e, now, s0, pred, cond, c, params):
 
 def _assert_plan_matches_reference(T_last, pred, c, now=0.0, s0=S0):
     ref = _reference_plan(T_last, 0.0, now, s0, pred, COND, c, PARAMS)
-    res = plan(SearchState(T_last, 0.0, lambda: now), s0, pred, COND, c, PARAMS)
+    res = plan(SearchState(T_last, 0.0), now, s0, pred, COND, c, PARAMS)
     assert (res.T, res.outcome, res.terminal, res.trajectories) == ref[:4]
     assert type(res.T) is float
     return res, ref
@@ -221,15 +218,15 @@ def test_batched_plan_fallback_then_stop_matches_reference():
 
 
 def test_batched_initialize_matches_reference():
-    st = initialize(S0, PRED, COND, CONSTR, PARAMS)
+    st = initialize(0.0, S0, PRED, COND, CONSTR, PARAMS)
     assert st.T_last == _reference_initialize(S0, PRED, COND, CONSTR, PARAMS)
     assert type(st.T_last) is float
     tight = Constraints(z_min=-2.0, z_max=5.0, v_min=-0.1, v_max=0.1,
                         F_max=PARAMS.F_max, n_samples=50)
     with pytest.raises(InitializationFailedError):
-        _reference_initialize(S0, PRED, COND, tight, PARAMS, cap=2.0)
+        _reference_initialize(S0, PRED, COND, tight, PARAMS)
     with pytest.raises(InitializationFailedError):
-        initialize(S0, PRED, COND, tight, PARAMS, cap=2.0)
+        initialize(0.0, S0, PRED, COND, tight, PARAMS)
 
 
 def test_fallback_work_counts_are_pinned():
@@ -315,7 +312,7 @@ def test_blocked_screen_matches_reference(monkeypatch):
     assert (whole[3.0].screens, whole[3.0].probes) == (1, 48)
     res, _ = _assert_plan_matches_reference(0.6, FAR, SLOW, now=0.1)
     assert res.outcome == FALLBACK and (res.screens, res.probes) == (2, 80)
-    st = initialize(S0, PRED, COND, CONSTR, PARAMS)
+    st = initialize(0.0, S0, PRED, COND, CONSTR, PARAMS)
     assert st.T_last == _reference_initialize(S0, PRED, COND, CONSTR, PARAMS)
 
 
@@ -347,14 +344,13 @@ def test_out_of_band_start_falls_back_without_a_screen(name, monkeypatch):
     with pytest.raises(InitializationFailedError):
         _reference_initialize(s0, PRED, COND, CONSTR, PARAMS)
     with pytest.raises(InitializationFailedError):
-        initialize(s0, PRED, COND, CONSTR, PARAMS)
+        initialize(0.0, s0, PRED, COND, CONSTR, PARAMS)
 
 
 # --- the shipped planner inside whole episodes, against the reference
 
 
-def _reference_planner_plan(state, s0, pred, cond, c, params):
-    now = state.clock()
+def _reference_planner_plan(state, now, s0, pred, cond, c, params):
     T, outcome, sT, trajs, probes, passes = _reference_plan(
         state.T_last, state.T_e, now, s0, pred, cond, c, params)
     state.T_last, state.T_e = T, now
@@ -362,9 +358,9 @@ def _reference_planner_plan(state, s0, pred, cond, c, params):
                       solve_time=0.0, probes=probes, passes=passes)
 
 
-def _reference_planner_initialize(s0, pred, cond, c, params, clock, step, cap):
-    T = _reference_initialize(s0, pred, cond, c, params, step=step, cap=cap)
-    return SearchState(T_last=T, T_e=clock(), clock=clock)
+def _reference_planner_initialize(t, s0, pred, cond, c, params):
+    T = _reference_initialize(s0, pred, cond, c, params)
+    return SearchState(T_last=T, T_e=t)
 
 
 @pytest.mark.parametrize("name", ["static_47.ini", "moving_90_forward.ini",
